@@ -138,7 +138,7 @@ void AbaInstance::process_round(net::Context& ctx) {
     if (supporting < cfg_.n - cfg_.t) return;
 
     // Threshold-coin toss: the compute charge is the whole point of modeling
-    // this (see DESIGN.md substitutions).
+    // this (see README.md, "Substitutions").
     ctx.charge_compute(cfg_.coin_compute_us);
     const bool c = cfg_.coin->toss(cfg_.instance_id, round_);
     rs.done = true;

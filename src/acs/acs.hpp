@@ -4,13 +4,13 @@
 /// repo's stand-in for FIN [27], the state-of-the-art ACS the paper
 /// benchmarks against (Fig 6).
 ///
-/// Construction (BKR-style; see DESIGN.md for why this is a faithful cost
-/// stand-in for FIN): every node reliably broadcasts its input (n parallel
-/// Bracha RBCs), one binary-agreement instance per slot decides inclusion,
-/// and once n-t slots decided 1 the node inputs 0 to the rest. The agreed
-/// subset S has |S| >= n-t >= 2t+1, so the *median* of the delivered values
-/// in S lies inside the honest input range — exact convex validity, the
-/// property column the paper gives FIN in Table I.
+/// Construction (BKR-style; see README.md, "Substitutions", for why this is
+/// a faithful cost stand-in for FIN): every node reliably broadcasts its
+/// input (n parallel Bracha RBCs), one binary-agreement instance per slot
+/// decides inclusion, and once n-t slots decided 1 the node inputs 0 to the
+/// rest. The agreed subset S has |S| >= n-t >= 2t+1, so the *median* of the
+/// delivered values in S lies inside the honest input range — exact convex
+/// validity, the property column the paper gives FIN in Table I.
 ///
 /// Costs (matching Table I's FIN row shapes): O(ln² + n³) bits from n RBCs of
 /// l-bit values plus n ABAs, constant expected rounds, and coin compute

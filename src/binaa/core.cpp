@@ -7,14 +7,15 @@ namespace delphi::binaa {
 BinAaCore::BinAaCore(const Config& cfg) : cfg_(cfg) {
   DELPHI_ASSERT(cfg_.n > 3 * cfg_.t, "BinAA requires n > 3t");
   DELPHI_ASSERT(cfg_.r_max >= 1 && cfg_.r_max <= 62, "BinAA r_max in [1,62]");
-  rounds_.resize(cfg_.r_max);
 }
 
-void BinAaCore::init_round(Round& rs) {
-  rs.initialized = true;
-  rs.e1_seen_once = NodeBitset(cfg_.n);
-  rs.e1_seen_twice = NodeBitset(cfg_.n);
-  rs.e2_senders = NodeBitset(cfg_.n);
+void BinAaCore::allocate_rounds() {
+  rounds_.resize(cfg_.r_max);
+  for (Round& rs : rounds_) {
+    rs.e1_seen_once = NodeBitset(cfg_.n);
+    rs.e1_seen_twice = NodeBitset(cfg_.n);
+    rs.e2_senders = NodeBitset(cfg_.n);
+  }
 }
 
 bool BinAaCore::valid_value(std::uint32_t round, ScaledValue v) const {
@@ -60,8 +61,7 @@ void BinAaCore::on_echo(std::uint8_t kind, std::uint32_t round,
     if (rs.e1_seen_twice.contains(from)) return;
     if (!rs.e1_seen_once.insert(from)) rs.e1_seen_twice.insert(from);
     if (votes == nullptr) {
-      rs.e1.push_back(ValueVotes{value, NodeBitset(cfg_.n)});
-      votes = &rs.e1.back();
+      votes = &rs.e1.push_back(ValueVotes{value, NodeBitset(cfg_.n)});
     }
     votes->senders.insert(from);
     // Threshold-crossing gate: exactly one vote arrived, so a trigger can
@@ -78,8 +78,7 @@ void BinAaCore::on_echo(std::uint8_t kind, std::uint32_t round,
     if (!rs.e2_senders.insert(from)) return;  // one ECHO2 per sender
     ValueVotes* votes = find_votes(rs.e2, value);
     if (votes == nullptr) {
-      rs.e2.push_back(ValueVotes{value, NodeBitset(cfg_.n)});
-      votes = &rs.e2.back();
+      votes = &rs.e2.push_back(ValueVotes{value, NodeBitset(cfg_.n)});
     }
     votes->senders.insert(from);
     // ECHO2s never feed run_triggers (it reads only ECHO1 state); advance
@@ -94,7 +93,8 @@ void BinAaCore::run_triggers(std::uint32_t round, std::vector<EchoAction>& out) 
   Round& rs = round_state(round);
 
   // Bracha-style amplification: t+1 ECHO1s for a value we haven't echoed.
-  for (const auto& votes : rs.e1) {
+  for (std::size_t i = 0; i < rs.e1.size(); ++i) {
+    const ValueVotes& votes = rs.e1[i];
     if (votes.senders.count() >= cfg_.t + 1 &&
         !contains_value(rs.e1_sent, votes.value)) {
       rs.e1_sent.push_back(votes.value);
@@ -104,7 +104,8 @@ void BinAaCore::run_triggers(std::uint32_t round, std::vector<EchoAction>& out) 
 
   // ECHO2 once some value gathers n-t ECHO1s (at most one ECHO2 per round).
   if (!rs.e2_sent) {
-    for (const auto& votes : rs.e1) {
+    for (std::size_t i = 0; i < rs.e1.size(); ++i) {
+      const ValueVotes& votes = rs.e1[i];
       if (votes.senders.count() >= cfg_.n - cfg_.t) {
         rs.e2_sent = true;
         out.push_back(EchoAction{/*kind=*/2, round, votes.value});
@@ -122,7 +123,8 @@ void BinAaCore::try_advance(std::vector<EchoAction>& out) {
     bool advanced = false;
 
     // Condition (2): n-t ECHO2s for one value -> adopt it.
-    for (const auto& votes : rs.e2) {
+    for (std::size_t i = 0; i < rs.e2.size(); ++i) {
+      const ValueVotes& votes = rs.e2[i];
       if (votes.senders.count() >= cfg_.n - cfg_.t) {
         next = votes.value;
         advanced = true;
@@ -134,7 +136,8 @@ void BinAaCore::try_advance(std::vector<EchoAction>& out) {
     if (!advanced) {
       ScaledValue v1 = 0, v2 = 0;
       int found = 0;
-      for (const auto& votes : rs.e1) {
+      for (std::size_t i = 0; i < rs.e1.size(); ++i) {
+        const ValueVotes& votes = rs.e1[i];
         if (votes.senders.count() >= cfg_.n - cfg_.t) {
           (found == 0 ? v1 : v2) = votes.value;
           if (++found == 2) break;

@@ -22,6 +22,7 @@
 ///  * eps-Agreement — honest outputs differ by < 2^-r_max.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bitset.hpp"
@@ -86,40 +87,70 @@ class BinAaCore {
   const Config& config() const noexcept { return cfg_; }
 
  private:
-  /// Senders supporting one value (flat storage: a handful of distinct
-  /// values per round in honest runs, each with an n-bit sender set).
+  /// Insertion-ordered list whose first K elements live inline; later ones
+  /// spill to one heap vector. Honest runs never exceed K = 2 values per
+  /// round table, so only Byzantine extras allocate. Order matters:
+  /// run_triggers and try_advance act on the *first* qualifying value.
+  template <typename T, std::size_t K>
+  class InlineList {
+   public:
+    std::size_t size() const noexcept { return size_; }
+    T& operator[](std::size_t i) {
+      return i < K ? inline_[i] : (*spill_)[i - K];
+    }
+    const T& operator[](std::size_t i) const {
+      return i < K ? inline_[i] : (*spill_)[i - K];
+    }
+    T& push_back(T v) {
+      ++size_;
+      if (size_ <= K) return inline_[size_ - 1] = std::move(v);
+      if (!spill_) spill_ = std::make_unique<std::vector<T>>();
+      return spill_->emplace_back(std::move(v));
+    }
+
+   private:
+    T inline_[K] = {};
+    std::uint32_t size_ = 0;
+    std::unique_ptr<std::vector<T>> spill_;
+  };
+
+  /// Senders supporting one value (a handful of distinct values per round
+  /// in honest runs, each with an n-bit sender set).
   struct ValueVotes {
     ScaledValue value = 0;
     NodeBitset senders;
   };
+  using VoteTable = InlineList<ValueVotes, 2>;
 
+  /// One round's quorum state; sized when the core first touches a round,
+  /// so receiving echoes allocates nothing while
+  /// n <= NodeBitset::kInlineCapacity.
   struct Round {
     /// ECHO1 votes per value; a sender is counted for at most
     /// kMaxValuesPerSender distinct values (honest nodes send <= 2).
-    std::vector<ValueVotes> e1;
+    VoteTable e1;
     NodeBitset e1_seen_once;   ///< senders with >= 1 counted ECHO1 value
     NodeBitset e1_seen_twice;  ///< senders with 2 counted ECHO1 values
     /// ECHO2 votes per value; at most one ECHO2 counted per sender.
-    std::vector<ValueVotes> e2;
+    VoteTable e2;
     NodeBitset e2_senders;
     /// Values we already ECHO1'd (initial + amplification).
-    std::vector<ScaledValue> e1_sent;
+    InlineList<ScaledValue, 2> e1_sent;
     bool e2_sent = false;
-    bool initialized = false;
   };
 
   static constexpr std::uint8_t kMaxValuesPerSender = 2;
 
-  static ValueVotes* find_votes(std::vector<ValueVotes>& vv, ScaledValue v) {
-    for (auto& e : vv) {
-      if (e.value == v) return &e;
+  static ValueVotes* find_votes(VoteTable& vv, ScaledValue v) {
+    for (std::size_t i = 0; i < vv.size(); ++i) {
+      if (vv[i].value == v) return &vv[i];
     }
     return nullptr;
   }
-  static bool contains_value(const std::vector<ScaledValue>& xs,
+  static bool contains_value(const InlineList<ScaledValue, 2>& xs,
                              ScaledValue v) {
-    for (auto x : xs) {
-      if (x == v) return true;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (xs[i] == v) return true;
     }
     return false;
   }
@@ -130,15 +161,15 @@ class BinAaCore {
   }
   bool valid_value(std::uint32_t round, ScaledValue v) const;
 
-  /// Fast-path inline: this is hit for every echo of every bundle; only the
-  /// one-time bitset setup stays out of line.
+  /// Fast-path inline: this is hit for every echo of every bundle. The
+  /// round block is allocated on first touch, not at construction, so
+  /// building a deployment's cores stays cheap.
   Round& round_state(std::uint32_t r) {
     DELPHI_ASSERT(r >= 1 && r <= cfg_.r_max, "BinAA round out of range");
-    Round& rs = rounds_[r - 1];
-    if (!rs.initialized) init_round(rs);
-    return rs;
+    if (rounds_.empty()) allocate_rounds();
+    return rounds_[r - 1];
   }
-  void init_round(Round& rs);
+  void allocate_rounds();
   void run_triggers(std::uint32_t round, std::vector<EchoAction>& out);
   void try_advance(std::vector<EchoAction>& out);
   void begin_round(std::vector<EchoAction>& out);
@@ -148,7 +179,7 @@ class BinAaCore {
   bool done_ = false;
   std::uint32_t round_ = 0;       // 0 = not started
   ScaledValue state_value_ = 0;   // b_{i, round_}
-  std::vector<Round> rounds_;     // index r-1, lazily initialized bitsets
+  std::vector<Round> rounds_;     // index r-1; empty until first touch
 };
 
 }  // namespace delphi::binaa

@@ -49,23 +49,22 @@ bool DelphiProtocol::is_own_checkpoint(std::uint32_t level,
 }
 
 void DelphiProtocol::on_start(net::Context& ctx) {
-  Collector col;
   for (std::uint32_t l = 0; l < levels_.size(); ++l) {
     // The virtual default instance always starts with input 0.
     scratch_.clear();
     levels_[l].default_core.start(false, scratch_);
-    append_default_actions(l, scratch_, col);
+    append_default_actions(l, scratch_);
     // Our two closest checkpoints start with input 1 (Algorithm 2 line 11).
     const auto& [lo, hi] = own_checkpoints_[l];
-    ensure_instance(l, lo, ctx.self(), col);
-    if (hi != lo) ensure_instance(l, hi, ctx.self(), col);
+    ensure_instance(l, lo, ctx.self());
+    if (hi != lo) ensure_instance(l, hi, ctx.self());
   }
-  flush(ctx, std::move(col));
+  flush(ctx);
 }
 
 binaa::BinAaCore* DelphiProtocol::ensure_instance(std::uint32_t level,
-                                                  std::int64_t k, NodeId from,
-                                                  Collector& col) {
+                                                  std::int64_t k,
+                                                  NodeId from) {
   Level& lv = levels_[level];
   auto it = std::lower_bound(
       lv.instances.begin(), lv.instances.end(), k,
@@ -83,46 +82,42 @@ binaa::BinAaCore* DelphiProtocol::ensure_instance(std::uint32_t level,
   ++pending_instances_;
   scratch_.clear();
   it->second.start(is_own_checkpoint(level, k), scratch_);
-  append_actions(level, k, scratch_, col);
+  append_actions(level, k, scratch_);
   return &it->second;
 }
 
-void DelphiProtocol::feed_explicit(const ExplicitEcho& e, NodeId from,
-                                   Collector& col) {
+void DelphiProtocol::feed_explicit(const ExplicitEcho& e, NodeId from) {
   if (e.level >= levels_.size()) return;  // Byzantine garbage
-  binaa::BinAaCore* core = ensure_instance(e.level, e.k, from, col);
+  binaa::BinAaCore* core = ensure_instance(e.level, e.k, from);
   if (core == nullptr) return;
   const bool was_done = core->done();
   scratch_.clear();
   core->on_echo(e.kind, e.round, e.value, from, scratch_);
-  append_actions(e.level, e.k, scratch_, col);
+  append_actions(e.level, e.k, scratch_);
   if (!was_done && core->done()) --pending_instances_;
 }
 
-void DelphiProtocol::feed_default(const DefaultEcho& d, NodeId from,
-                                  Collector& col) {
+void DelphiProtocol::feed_default(const DefaultEcho& d, NodeId from) {
   if (d.level >= levels_.size()) return;
   binaa::BinAaCore& core = levels_[d.level].default_core;
   const bool was_done = core.done();
   scratch_.clear();
   core.on_echo(d.kind, d.round, d.value, from, scratch_);
-  append_default_actions(d.level, scratch_, col);
+  append_default_actions(d.level, scratch_);
   if (!was_done && core.done()) --pending_instances_;
 }
 
 void DelphiProtocol::append_actions(std::uint32_t level, std::int64_t k,
-                                    const std::vector<binaa::EchoAction>& acts,
-                                    Collector& col) {
+                                    const std::vector<binaa::EchoAction>& acts) {
   for (const auto& a : acts) {
-    col.explicits.push_back(ExplicitEcho{level, k, a.kind, a.round, a.value});
+    col_.explicits.push_back(ExplicitEcho{level, k, a.kind, a.round, a.value});
   }
 }
 
 void DelphiProtocol::append_default_actions(
-    std::uint32_t level, const std::vector<binaa::EchoAction>& acts,
-    Collector& col) {
+    std::uint32_t level, const std::vector<binaa::EchoAction>& acts) {
   for (const auto& a : acts) {
-    col.defaults.push_back(DefaultEcho{level, a.kind, a.round, a.value});
+    col_.defaults.push_back(DefaultEcho{level, a.kind, a.round, a.value});
   }
 }
 
@@ -141,18 +136,22 @@ void DelphiProtocol::on_message(net::Context& ctx, NodeId from,
   const auto* bundle = dynamic_cast<const DelphiBundle*>(&body);
   DELPHI_REQUIRE(bundle != nullptr, "Delphi: foreign message type");
 
-  Collector col;
-  for (const auto& e : bundle->explicits()) feed_explicit(e, from, col);
-  for (const auto& d : bundle->defaults()) feed_default(d, from, col);
-  flush(ctx, std::move(col));
+  for (const auto& e : bundle->explicits()) feed_explicit(e, from);
+  for (const auto& d : bundle->defaults()) feed_default(d, from);
+  flush(ctx);
   maybe_terminate(ctx);
 }
 
-void DelphiProtocol::flush(net::Context& ctx, Collector&& col) {
-  if (col.defaults.empty() && col.explicits.empty()) return;
-  ctx.broadcast(cfg_.channel,
-                std::make_shared<DelphiBundle>(std::move(col.defaults),
-                                               std::move(col.explicits)));
+void DelphiProtocol::flush(net::Context& ctx) {
+  if (col_.defaults.empty() && col_.explicits.empty()) return;
+  // The bundle's copies are allocated at their exact size; the collector
+  // keeps its capacity for the next delivery.
+  auto bundle = std::make_shared<DelphiBundle>(
+      std::vector<DefaultEcho>(col_.defaults),
+      std::vector<ExplicitEcho>(col_.explicits));
+  col_.defaults.clear();
+  col_.explicits.clear();
+  ctx.broadcast(cfg_.channel, std::move(bundle));
 }
 
 void DelphiProtocol::maybe_terminate(net::Context&) {

@@ -26,7 +26,7 @@
 /// Liveness note: a node keeps processing and echoing after it outputs
 /// (help-after-decide) — going silent would deadlock a t-sized minority
 /// whose checkpoints the fast majority never materialized before deciding.
-/// See the comment in on_message and PROTOCOL.md §2.
+/// See the comment in on_message.
 
 #include <optional>
 #include <utility>
@@ -78,7 +78,8 @@ class DelphiProtocol final : public net::Protocol, public net::ValueOutput {
   const Config& config() const noexcept { return cfg_; }
 
  private:
-  /// Collects outgoing echoes produced while handling one event.
+  /// Collects outgoing echoes produced while handling one event; kept across
+  /// events so its buffers are reused (flush copies out and clears them).
   struct Collector {
     std::vector<DefaultEcho> defaults;
     std::vector<ExplicitEcho> explicits;
@@ -108,17 +109,16 @@ class DelphiProtocol final : public net::Protocol, public net::ValueOutput {
   /// mention budget when the activation is triggered by `from`'s entry.
   /// Returns nullptr when the activation was refused.
   binaa::BinAaCore* ensure_instance(std::uint32_t level, std::int64_t k,
-                                    NodeId from, Collector& col);
+                                    NodeId from);
 
-  void feed_explicit(const ExplicitEcho& e, NodeId from, Collector& col);
-  void feed_default(const DefaultEcho& d, NodeId from, Collector& col);
+  void feed_explicit(const ExplicitEcho& e, NodeId from);
+  void feed_default(const DefaultEcho& d, NodeId from);
   void append_actions(std::uint32_t level, std::int64_t k,
-                      const std::vector<binaa::EchoAction>& acts,
-                      Collector& col);
+                      const std::vector<binaa::EchoAction>& acts);
   void append_default_actions(std::uint32_t level,
-                              const std::vector<binaa::EchoAction>& acts,
-                              Collector& col);
-  void flush(net::Context& ctx, Collector&& col);
+                              const std::vector<binaa::EchoAction>& acts);
+  /// Broadcast the collected echoes as one bundle (no-op when empty).
+  void flush(net::Context& ctx);
   void maybe_terminate(net::Context& ctx);
   void aggregate();
 
@@ -133,6 +133,7 @@ class DelphiProtocol final : public net::Protocol, public net::ValueOutput {
   std::optional<double> output_;
   std::vector<LevelReport> reports_;
   std::vector<binaa::EchoAction> scratch_;  // reused per delivery
+  Collector col_;                           // reused per delivery
 };
 
 }  // namespace delphi::protocol

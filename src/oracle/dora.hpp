@@ -12,7 +12,7 @@
 /// relaxation: [m - delta - eps, M + delta + eps].
 ///
 /// Signatures are HMAC attestation shares (crypto/certificate.hpp) standing
-/// in for the paper's BLS aggregates — see DESIGN.md substitutions.
+/// in for the paper's BLS aggregates.
 
 #include <optional>
 

@@ -15,7 +15,7 @@
 /// The SMR channel is external and trusted in [20] (a blockchain); we model
 /// it as one designated sequencer process (node id n in an (n+1)-node
 /// deployment) that validates and relays the first submission — see
-/// DESIGN.md substitutions. Signatures are HMAC attestation tags; their
+/// README.md, "Substitutions". Signatures are HMAC attestation tags; their
 /// CPU cost is charged per the testbed model (this is DORA's O(n²)
 /// verification bill that Delphi eliminates).
 

@@ -306,11 +306,17 @@ class TcpCluster::Node final : public net::Context {
   /// node's own thread; never touches other nodes.
   void run(const std::atomic<bool>& stop) {
     try {
-      setup_mesh(stop);
-      protocol_->on_start(*this);
-      drain_local();
-      note_termination();
-      event_loop(stop);
+      // A stop that interrupts setup is not this node's failure: the
+      // cluster is shutting down for another reason (the deadline), and
+      // the node simply never starts its protocol.
+      if (setup_mesh(stop)) {
+        meshed.store(true, std::memory_order_release);
+        done_wake_.signal();
+        protocol_->on_start(*this);
+        drain_local();
+        note_termination();
+        event_loop(stop);
+      }
     } catch (const std::exception& e) {
       error_ = e.what();
     }
@@ -333,6 +339,8 @@ class TcpCluster::Node final : public net::Context {
   void wake() noexcept { wake_.signal(); }
 
   std::atomic<bool> done{false};
+  /// This node finished mesh setup and is about to start its protocol.
+  std::atomic<bool> meshed{false};
   /// This node's thread has returned from run() (error or stop).
   std::atomic<bool> exited{false};
 
@@ -816,8 +824,9 @@ class TcpCluster::Node final : public net::Context {
   }
 
   /// Establish the full mesh: connect to every lower id, accept from every
-  /// higher id, exchanging an 8-byte hello to bind fds to node ids.
-  void setup_mesh(const std::atomic<bool>& stop) {
+  /// higher id, exchanging an 8-byte hello to bind fds to node ids. Returns
+  /// false if a stop request interrupted it.
+  bool setup_mesh(const std::atomic<bool>& stop) {
     const auto deadline =
         Clock::now() + std::chrono::milliseconds(opts_.timeout_ms);
     for (NodeId j = 0; j < self_; ++j) {
@@ -916,7 +925,7 @@ class TcpCluster::Node final : public net::Context {
       }
     }
     for (const auto& ph : pending) ::close(ph.fd);
-    if (expected > 0) throw Error("tcp: mesh setup interrupted");
+    return expected == 0;
   }
 
   /// One bring-up attempt of the two-way recovery hello on a freshly
@@ -1379,15 +1388,25 @@ bool TcpCluster::wait() {
   while (true) {
     bool all_done = true;
     bool dead_node = false;
+    bool meshing = false;
     for (const auto& node : nodes_) {
       if (node->done.load(std::memory_order_acquire)) continue;
       all_done = false;
       // An exited-but-unterminated node (mesh failure, protocol exception)
       // can never become done, so the run's outcome is already a fixed
       // false — fail fast instead of sleeping out the deadline.
-      if (node->exited.load(std::memory_order_acquire)) dead_node = true;
+      if (node->exited.load(std::memory_order_acquire)) {
+        dead_node = true;
+      } else if (!node->meshed.load(std::memory_order_acquire)) {
+        meshing = true;
+      }
     }
-    if (all_done || dead_node) break;
+    // Fail fast only once no live node is still in mesh setup: stopping
+    // one there would leave it unstarted for a reason that is not its own.
+    // A peer that died after dialing left every connection in place, so
+    // the others finish setup at once; one that died mid-setup makes its
+    // peers' setup time out, as it would without the fail-fast.
+    if (all_done || (dead_node && !meshing)) break;
     const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - Clock::now());
     if (remaining.count() <= 0) break;

@@ -163,6 +163,138 @@ TEST(BinAa, PerSenderEchoCapLimitsByzantineMultivoting) {
   EXPECT_TRUE(out.empty());
 }
 
+/// Core at n = 7, t = 2, r_max = 3 driven to its last round by two ECHO2
+/// quorums for 0. Round-3 values are multiples of 2 in [0, 8].
+BinAaCore core_in_round_three() {
+  BinAaCore core(BinAaCore::Config{7, 2, 3});
+  std::vector<EchoAction> out;
+  core.start(false, out);
+  for (std::uint32_t round : {1u, 2u}) {
+    for (NodeId from = 0; from < 5; ++from) core.on_echo(2, round, 0, from, out);
+  }
+  EXPECT_EQ(core.current_round(), 3u);
+  return core;
+}
+
+TEST(BinAa, VoteTablesSpillPastTwoValuesInInsertionOrder) {
+  // Two Byzantine senders (5, 6) put four distinct ECHO1 values into round 3,
+  // so the table spills past its two inline entries; honest votes then push
+  // spilled values over both thresholds.
+  BinAaCore core = core_in_round_three();
+  std::vector<EchoAction> out;
+  core.on_echo(1, 3, 0, 5, out);
+  core.on_echo(1, 3, 2, 5, out);
+  core.on_echo(1, 3, 4, 6, out);
+  core.on_echo(1, 3, 8, 6, out);
+  core.on_echo(1, 3, 6, 5, out);  // sender 5's third value: capped
+  core.on_echo(1, 3, 6, 0, out);
+  core.on_echo(1, 3, 6, 1, out);
+  EXPECT_TRUE(out.empty());  // 6 has 2 votes, not t + 1 = 3
+  core.on_echo(1, 3, 6, 2, out);
+  ASSERT_EQ(out.size(), 1u);  // amplification of a spilled value
+  EXPECT_EQ(out[0].kind, 1);
+  EXPECT_EQ(out[0].value, 6);
+  out.clear();
+  core.on_echo(1, 3, 4, 0, out);
+  core.on_echo(1, 3, 4, 1, out);
+  ASSERT_EQ(out.size(), 1u);  // 4 amplified: e1_sent is now {0, 6, 4}
+  EXPECT_EQ(out[0].value, 4);
+  out.clear();
+  core.on_echo(1, 3, 6, 3, out);
+  core.on_echo(1, 3, 6, 4, out);
+  ASSERT_EQ(out.size(), 1u);  // 6 reaches n - t = 5: ECHO2
+  EXPECT_EQ(out[0].kind, 2);
+  EXPECT_EQ(out[0].value, 6);
+  out.clear();
+  core.on_echo(1, 3, 4, 2, out);
+  core.on_echo(1, 3, 4, 3, out);
+  // 4 reaches n - t as well: nothing new to send (4 is in the spilled part
+  // of e1_sent), and the round closes on the midpoint of the first two
+  // qualifying values in insertion order, 4 and 6.
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(core.done());
+  EXPECT_EQ(core.output_scaled(), 5);
+
+  // ECHO2: one value per sender, three distinct values, the spilled one
+  // gathers the quorum and is adopted.
+  BinAaCore core2 = core_in_round_three();
+  core2.on_echo(2, 3, 2, 5, out);
+  core2.on_echo(2, 3, 4, 6, out);
+  for (NodeId from = 0; from < 5; ++from) core2.on_echo(2, 3, 8, from, out);
+  ASSERT_TRUE(core2.done());
+  EXPECT_EQ(core2.output_scaled(), 8);
+}
+
+/// Byzantine BinAA node that, at start, sends every node two distinct
+/// ECHO1 values and one ECHO2 value for every round, chosen by its id so
+/// that t such nodes put more than two distinct values into each table.
+class MultiValueSprayer final : public net::Protocol {
+ public:
+  explicit MultiValueSprayer(std::uint32_t r_max) : r_max_(r_max) {}
+
+  void on_start(net::Context& ctx) override {
+    const ScaledValue scale = ScaledValue{1} << r_max_;
+    const ScaledValue b = ctx.self();
+    for (std::uint32_t round = 1; round <= r_max_; ++round) {
+      const ScaledValue g = scale >> (round - 1);  // round granularity
+      const ScaledValue points = ScaledValue{1} << (round - 1);
+      const auto value = [&](ScaledValue i) { return g * (1 + i % points); };
+      for (NodeId to = 0; to < ctx.n(); ++to) {
+        for (ScaledValue v : {value(2 * b), value(2 * b + 1)}) {
+          ctx.send(to, 0, std::make_shared<EchoMessage>(1, round, v));
+        }
+        ctx.send(to, 0,
+                 std::make_shared<EchoMessage>(2, round, value(2 * b + 2)));
+      }
+    }
+  }
+  void on_message(net::Context&, NodeId, std::uint32_t,
+                  const net::MessageBody&) override {}
+  bool terminated() const override { return true; }
+
+ private:
+  std::uint32_t r_max_;
+};
+
+TEST(BinAa, MultiValueByzantineSprayKeepsAgreementAndValidity) {
+  const std::size_t n = 7;
+  const std::size_t t = max_faults(n);
+  const std::uint32_t r_max = 8;
+  const auto byz = sim::last_t_byzantine(n, t);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (bool unanimous : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " unanimous "
+                                      << unanimous);
+      sim::Simulator sim(test::adversarial_config(n, seed));
+      for (NodeId i = 0; i < n; ++i) {
+        if (byz.contains(i)) {
+          sim.add_node(std::make_unique<MultiValueSprayer>(r_max));
+        } else {
+          sim.add_node(std::make_unique<BinAaProtocol>(
+              proto_cfg(n, r_max), !unanimous && i % 2 == 1));
+        }
+      }
+      sim.set_byzantine(byz);
+      ASSERT_TRUE(sim.run());
+      std::vector<double> outs;
+      for (NodeId i = 0; i < n; ++i) {
+        if (!byz.contains(i)) {
+          outs.push_back(*sim.node_as<BinAaProtocol>(i).output_value());
+        }
+      }
+      EXPECT_LE(test::spread(outs), std::ldexp(1.0, -8));
+      for (double v : outs) {
+        if (unanimous) {
+          EXPECT_EQ(v, 0.0);  // unanimous input 0 is decided exactly
+        } else {
+          EXPECT_GE(v, 0.0);
+          EXPECT_LE(v, 1.0);
+        }
+      }
+    }
+  }
+}
+
 TEST(BinAa, RangeHalvesEachRound) {
   // Drive two synchronized honest cohorts and check the dyadic state spread
   // after each full exchange halves: outputs after r rounds differ by at most

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "common/bitset.hpp"
 #include "common/bytes.hpp"
@@ -210,6 +212,112 @@ TEST(Bitset, OutOfRangeThrows) {
   NodeBitset s(4);
   EXPECT_THROW(s.insert(4), InternalError);
   EXPECT_THROW((void)s.contains(100), InternalError);
+}
+
+/// Sorted ids {0, 5, 63, 64, n-1} that fit below n (n >= 1).
+std::vector<NodeId> sample_ids(std::size_t n) {
+  std::vector<NodeId> ids;
+  for (NodeId id : {NodeId{0}, NodeId{5}, NodeId{63}, NodeId{64},
+                    static_cast<NodeId>(n - 1)}) {
+    if (id < n && std::find(ids.begin(), ids.end(), id) == ids.end()) {
+      ids.push_back(id);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+std::vector<NodeId> members(const NodeBitset& s) {
+  std::vector<NodeId> out;
+  s.for_each([&](NodeId id) { out.push_back(id); });
+  return out;
+}
+
+TEST(Bitset, InlineHeapBoundary) {
+  // n <= kInlineCapacity is stored inline, n above it on the heap; both
+  // behave the same up to the last id.
+  EXPECT_EQ(NodeBitset::kInlineCapacity, 192u);
+  for (std::size_t n : {std::size_t{64}, std::size_t{65}, std::size_t{192},
+                        std::size_t{193}, std::size_t{211}}) {
+    SCOPED_TRACE(n);
+    NodeBitset s(n);
+    EXPECT_EQ(s.capacity(), n);
+    for (NodeId id = 0; id < n; ++id) EXPECT_FALSE(s.contains(id));
+    for (NodeId id : sample_ids(n)) EXPECT_TRUE(s.insert(id));
+    EXPECT_TRUE(s.contains(static_cast<NodeId>(n - 1)));
+    EXPECT_FALSE(s.insert(static_cast<NodeId>(n - 1)));
+    EXPECT_EQ(s.count(), sample_ids(n).size());
+    EXPECT_EQ(members(s), sample_ids(n));
+  }
+}
+
+TEST(Bitset, CopyAndMoveInBothStorageModes) {
+  for (std::size_t n : {std::size_t{4}, std::size_t{192}, std::size_t{193},
+                        std::size_t{300}}) {
+    SCOPED_TRACE(n);
+    const auto ids = sample_ids(n);
+    NodeBitset s(n);
+    for (NodeId id : ids) s.insert(id);
+
+    NodeBitset copy(s);
+    copy.insert(1);  // the copy is independent of the original
+    EXPECT_FALSE(s.contains(1));
+    EXPECT_TRUE(copy.contains(1));
+    EXPECT_EQ(copy.count(), ids.size() + 1);
+
+    NodeBitset assigned(7);
+    assigned = s;
+    EXPECT_EQ(assigned.capacity(), n);
+    EXPECT_EQ(members(assigned), ids);
+    const NodeBitset& same = assigned;
+    assigned = same;  // self-assignment keeps the contents
+    EXPECT_EQ(members(assigned), ids);
+
+    NodeBitset moved(std::move(copy));
+    EXPECT_EQ(moved.capacity(), n);
+    EXPECT_EQ(moved.count(), ids.size() + 1);
+    EXPECT_TRUE(moved.contains(1));
+
+    NodeBitset move_assigned(300);  // replaces a heap block
+    move_assigned.insert(299);
+    move_assigned = std::move(moved);
+    EXPECT_EQ(move_assigned.capacity(), n);
+    EXPECT_TRUE(move_assigned.contains(1));
+    EXPECT_EQ(move_assigned.count(), ids.size() + 1);
+
+    // Mode switches in both directions through copy assignment.
+    NodeBitset other(n > NodeBitset::kInlineCapacity ? 4 : 300);
+    other.insert(3);
+    s = other;
+    EXPECT_EQ(s.capacity(), other.capacity());
+    EXPECT_EQ(members(s), std::vector<NodeId>{3});
+  }
+}
+
+TEST(Bitset, ForEachVisitsMembersInIncreasingOrder) {
+  for (std::size_t n : {std::size_t{160}, std::size_t{211}}) {
+    SCOPED_TRACE(n);
+    NodeBitset s(n);
+    const std::vector<NodeId> ids = {static_cast<NodeId>(n - 1), 128, 64, 63,
+                                     1, 0};
+    for (NodeId id : ids) s.insert(id);
+    EXPECT_EQ(members(s),
+              (std::vector<NodeId>{0, 1, 63, 64, 128,
+                                   static_cast<NodeId>(n - 1)}));
+  }
+  EXPECT_TRUE(members(NodeBitset()).empty());
+}
+
+TEST(Bitset, OutOfRangeThrowsInBothStorageModes) {
+  for (std::size_t n : {std::size_t{0}, std::size_t{64}, std::size_t{192},
+                        std::size_t{193}, std::size_t{256}}) {
+    SCOPED_TRACE(n);
+    NodeBitset s(n);
+    EXPECT_THROW(s.insert(static_cast<NodeId>(n)), InternalError);
+    EXPECT_THROW((void)s.contains(static_cast<NodeId>(n)), InternalError);
+    EXPECT_THROW(s.insert(100'000), InternalError);
+    EXPECT_EQ(s.count(), 0u);
+  }
 }
 
 TEST(Types, FaultBounds) {

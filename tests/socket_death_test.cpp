@@ -6,8 +6,10 @@
 ///     keeps running to completion;
 ///   * garbage datagrams from an unknown source against a live UDP mesh are
 ///     dropped without disturbing agreement;
-///   * a node thread that dies surfaces WHICH node failed and WHY (exception
-///     text) through the cluster's failures(), instead of a bare timeout;
+///   * a node thread that dies, in startup or later in its event loop,
+///     surfaces WHICH node failed and WHY (exception text) through the
+///     cluster's failures(), instead of a bare timeout — and peers that the
+///     resulting stop catches in mesh setup are not blamed;
 ///   * the UDP unacked-map cap is a typed ResourceExhausted at the send
 ///     boundary — never a silent drop — and the failure is attributed to the
 ///     exhausted node.
@@ -21,6 +23,7 @@
 
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -74,6 +77,23 @@ class Exploder final : public net::Protocol {
   void on_message(net::Context&, NodeId, std::uint32_t,
                   const net::MessageBody&) override {}
   bool terminated() const override { return false; }
+};
+
+/// Dies in its event loop once it has heard from every peer. Not a
+/// delphi::Error, which the receive path counts as a malformed payload.
+class LateExploder final : public net::Protocol {
+ public:
+  void on_start(net::Context&) override {}
+  void on_message(net::Context& ctx, NodeId, std::uint32_t,
+                  const net::MessageBody&) override {
+    if (++heard_ == ctx.n() - 1) {
+      throw std::runtime_error("exploding late on purpose (test fixture)");
+    }
+  }
+  bool terminated() const override { return false; }
+
+ private:
+  std::size_t heard_ = 0;
 };
 
 /// Fires `count` sends at node `to` during on_start, then claims done.
@@ -217,6 +237,27 @@ TEST(NodeFailureSurfacing, TcpNamesTheDeadNodeAndCause) {
             std::string::npos)
       << cluster.failures()[0].message;
   // The dead node is also an unfinished straggler — failures() explains it.
+  ASSERT_EQ(cluster.unfinished().size(), 1u);
+  EXPECT_EQ(cluster.unfinished()[0], 3u);
+}
+
+TEST(NodeFailureSurfacing, TcpNamesANodeThatDiesAfterSetup) {
+  TcpCluster::Options opts;
+  opts.n = 4;
+  opts.timeout_ms = 1'000;
+  TcpCluster cluster(opts);
+  cluster.start(
+      [](NodeId i) -> std::unique_ptr<net::Protocol> {
+        if (i == 3) return std::make_unique<LateExploder>();
+        return std::make_unique<Spammer>(3, 1);
+      },
+      byte_decoder());
+  EXPECT_FALSE(cluster.wait());
+  ASSERT_EQ(cluster.failures().size(), 1u);
+  EXPECT_EQ(cluster.failures()[0].id, 3u);
+  EXPECT_NE(cluster.failures()[0].message.find("exploding late on purpose"),
+            std::string::npos)
+      << cluster.failures()[0].message;
   ASSERT_EQ(cluster.unfinished().size(), 1u);
   EXPECT_EQ(cluster.unfinished()[0], 3u);
 }
