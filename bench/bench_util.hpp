@@ -3,8 +3,9 @@
 /// (AWS-geo / CPS, matching §VI-C), controlled-range workload generators,
 /// one-call protocol runners, and table printing.
 ///
-/// Every bench binary regenerates one table/figure of the paper; see
-/// DESIGN.md §3 for the index and EXPERIMENTS.md for paper-vs-measured notes.
+/// Every bench binary regenerates one table/figure of the paper; see the
+/// README "Substitutions" section for where this reproduction departs from
+/// the paper's setup.
 
 #include <cstdint>
 #include <string>
@@ -30,7 +31,7 @@ scenario::TestbedKind to_scenario(Testbed tb) noexcept;
 sim::SimConfig testbed_config(Testbed tb, std::size_t n, std::uint64_t seed);
 
 /// Default CPU charge per threshold-coin toss, per testbed — the stand-in
-/// for the O(n) pairing bill of a real common coin (DESIGN.md). Pairings run
+/// for the O(n) pairing bill of a real common coin (README "Substitutions"). Pairings run
 /// ~1 ms on a Pi-class core and ~0.25 ms on t2.micro-class cores; a Cachin
 /// coin verifies a quorum of shares.
 SimTime default_coin_cost(Testbed tb, std::size_t n);

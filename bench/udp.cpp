@@ -2,9 +2,10 @@
 /// netem shim was built for. Three sections:
 ///
 ///   1. Datagram flood: a windowed credit protocol saturates the
-///      authenticated UDP mesh with fixed-size broadcast frames (one frame
-///      per datagram, selective-repeat ARQ underneath) and measures
-///      delivered frames/s and MB/s (payload size x auth on/off x n).
+///      authenticated UDP mesh with fixed-size broadcast frames (frames
+///      for a peer packed into MTU-sized datagrams, one sendmmsg per flush,
+///      selective-repeat ARQ underneath) and measures delivered frames/s
+///      and MB/s (payload size x auth on/off x n).
 ///   2. Multi-instance flood: the same flood split across k concurrent
 ///      SessionMux instances over one datagram mesh (instances in {1,2,4,8})
 ///      — the udp counterpart of bench_tcp_throughput's instances axis.
@@ -260,8 +261,9 @@ scenario::ScenarioSpec protocol_spec(const std::string& protocol,
 int main(int argc, char** argv) {
   const bool quick = quick_mode(argc, argv);
   print_title("UDP datagram-plane throughput (real localhost sockets)",
-              "Flood: windowed broadcast, one frame per datagram over "
-              "selective-repeat ARQ (single- and multi-instance over one "
+              "Flood: windowed broadcast, frames packed into MTU-sized "
+              "datagrams over selective-repeat ARQ (single- and "
+              "multi-instance over one "
               "mesh); sweeps through ScenarioSpec/UdpRuntime, with and "
               "without shim loss.");
 

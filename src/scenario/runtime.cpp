@@ -313,7 +313,7 @@ RunReport run_cluster(const ProtocolInfo& info, const ScenarioSpec& rs,
                     m.msgs_delivered,    m.malformed_dropped,
                     /*terminated_at=*/-1, m.reconnects,
                     m.catchup_frames,    m.catchup_bytes,
-                    m.downtime_us / 1000};
+                    m.downtime_us / 1000, m.datagrams_sent};
     if (!faulted.contains(i)) {
       rep.honest_bytes += m.bytes_sent;
       rep.honest_msgs += m.msgs_sent;

@@ -51,6 +51,10 @@ struct NodeCounters {
   std::uint64_t catchup_bytes = 0;
   /// Total time this node spent dark across its restarts (ms).
   std::uint64_t downtime_ms = 0;
+  /// Wire datagrams this node sent on the udp substrate (packed data, acks
+  /// and retransmissions alike); 0 under sim and tcp. Transport overhead —
+  /// never added to honest_bytes/honest_msgs.
+  std::uint64_t datagrams_sent = 0;
 
   bool operator==(const NodeCounters&) const = default;
 };

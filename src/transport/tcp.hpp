@@ -72,6 +72,10 @@ struct TransportMetrics {
   std::uint64_t catchup_bytes = 0;
   /// Wall time this node spent dark across its restarts.
   std::uint64_t downtime_us = 0;
+  /// Wire datagrams the kernel accepted from this node (UDP only: packed
+  /// data, acks and retransmissions alike; TCP leaves it 0). Transport
+  /// overhead — never part of bytes_sent.
+  std::uint64_t datagrams_sent = 0;
 };
 
 /// One scheduled restart on a socket substrate: node `id` stops its event

@@ -26,8 +26,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Selective-ack entries advertised per ack datagram (the cumulative floor
-/// carries the rest; a bounded list keeps acks one small datagram).
+/// Selective-ack entries advertised per ack record (the cumulative floor
+/// carries the rest; a bounded list keeps acks one small record).
 constexpr std::size_t kAckSackLimit = 256;
 
 [[noreturn]] void sys_fail(const std::string& what) {
@@ -145,7 +145,7 @@ DatagramView decode_datagram(std::span<const std::uint8_t> bytes,
     if (len > kMaxFrameBytes) {
       throw SerializationError("udp: oversized frame length");
     }
-    // Exactly one frame per datagram: the frame's post-prefix length must
+    // Exactly one frame per record: the frame's post-prefix length must
     // account for every remaining byte.
     if (len != r0.remaining()) {
       throw SerializationError("udp: datagram/frame length mismatch");
@@ -202,6 +202,61 @@ DatagramView decode_datagram(std::span<const std::uint8_t> bytes,
   }
 
   throw SerializationError("udp: unknown datagram kind");
+}
+
+void split_datagram(std::span<const std::uint8_t> bytes, bool authed,
+                    std::vector<std::span<const std::uint8_t>>& out) {
+  out.clear();
+  const std::size_t tag_len = authed ? crypto::kMacTagSize : 0;
+  while (!bytes.empty()) {
+    ByteReader r(bytes);
+    const std::uint8_t kind = r.u8();
+    std::size_t size = 0;
+    if (kind == kDatagramData) {
+      r.u32();  // seq
+      const std::uint32_t len = r.u32();
+      if (len > kMaxFrameBytes) {
+        throw SerializationError("udp: oversized frame length");
+      }
+      size = 9 + static_cast<std::size_t>(len);
+    } else if (kind == kDatagramAck) {
+      r.u32();  // cum
+      const std::uint64_t count = r.uvarint();
+      if (count > kMaxAckSacks) {
+        throw SerializationError("udp: ack sack count too large");
+      }
+      size = (bytes.size() - r.remaining()) +
+             4 * static_cast<std::size_t>(count) + tag_len;
+    } else {
+      throw SerializationError("udp: unknown record kind");
+    }
+    if (size > bytes.size()) {
+      throw SerializationError("udp: record runs past the datagram");
+    }
+    out.push_back(bytes.first(size));
+    bytes = bytes.subspan(size);
+  }
+}
+
+void DatagramPacker::clear() noexcept {
+  for (std::size_t i = 0; i < used_; ++i) open_[dgrams_[i].to] = 0;
+  used_ = 0;
+}
+
+void DatagramPacker::add(NodeId to, std::span<const std::uint8_t> record) {
+  if (to >= open_.size()) open_.resize(to + 1, 0);
+  if (open_[to] != 0) {
+    auto& bytes = dgrams_[open_[to] - 1].bytes;
+    if (bytes.size() + record.size() <= kPackedDatagramBytes) {
+      bytes.insert(bytes.end(), record.begin(), record.end());
+      return;
+    }
+  }
+  if (used_ == dgrams_.size()) dgrams_.emplace_back();
+  Datagram& d = dgrams_[used_++];
+  d.to = to;
+  d.bytes.assign(record.begin(), record.end());
+  open_[to] = used_;
 }
 
 bool SeqFilter::accept(std::uint32_t seq) {
@@ -357,7 +412,7 @@ class UdpMesh::Node final : public net::Context {
     std::vector<std::uint32_t> fresh_sacks;
   };
 
-  /// A materialized datagram waiting for its netem release time (or due
+  /// A materialized record waiting for its netem release time (or due
   /// immediately on unshimmed links).
   struct WireItem {
     SimTime release = 0;
@@ -435,7 +490,7 @@ class UdpMesh::Node final : public net::Context {
   }
 
   /// Run every due (re)transmission attempt: consult the link shim, park the
-  /// materialized datagram on the wire queue until its release time, and
+  /// materialized record on the wire queue until its release time, and
   /// re-arm the frame's retransmission timer.
   void process_out(SimTime now) {
     for (NodeId j = 0; j < opts_.n; ++j) {
@@ -478,16 +533,42 @@ class UdpMesh::Node final : public net::Context {
     }
   }
 
-  /// Send every datagram whose release time has arrived. Send failures
-  /// (full buffers) are indistinguishable from network loss: the ARQ — or,
+  /// Send every record whose release time has arrived: pack them, in
+  /// release order, into per-peer datagrams of at most one MTU and hand the
+  /// lot to the kernel with one sendmmsg(2). A datagram the kernel refuses
+  /// (full buffers) is indistinguishable from network loss: the ARQ — or,
   /// for acks, the peer's duplicate-triggered re-ack — recovers.
   void flush_wire(SimTime now) {
+    packer_.clear();
     while (!wireq_.empty() && wireq_.top().release <= now) {
-      const WireItem& w = wireq_.top();
-      ::sendto(sock_fd_, w.bytes.data(), w.bytes.size(), 0,
-               reinterpret_cast<const sockaddr*>(&peers_[w.to].addr),
-               sizeof(sockaddr_in));
+      packer_.add(wireq_.top().to, wireq_.top().bytes);
       wireq_.pop();
+    }
+    const std::size_t count = packer_.size();
+    if (count == 0) return;
+    iov_.resize(count);
+    mmsg_.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto d = packer_.datagram(i);
+      iov_[i] = {const_cast<std::uint8_t*>(d.data()), d.size()};
+      mmsg_[i] = {};
+      mmsg_[i].msg_hdr.msg_name = &peers_[packer_.to(i)].addr;
+      mmsg_[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+      mmsg_[i].msg_hdr.msg_iov = &iov_[i];
+      mmsg_[i].msg_hdr.msg_iovlen = 1;
+    }
+    std::size_t next = 0;
+    while (next < count) {
+      const int sent = ::sendmmsg(sock_fd_, &mmsg_[next],
+                                  static_cast<unsigned>(count - next), 0);
+      if (sent > 0) {
+        next += static_cast<std::size_t>(sent);
+        metrics_.datagrams_sent += static_cast<std::uint64_t>(sent);
+      } else if (sent < 0 && errno == EINTR) {
+        continue;
+      } else {
+        ++next;  // this datagram is lost; try the rest
+      }
     }
   }
 
@@ -534,12 +615,24 @@ class UdpMesh::Node final : public net::Context {
   }
 
   void handle_datagram(NodeId from, std::span<const std::uint8_t> bytes) {
+    try {
+      split_datagram(bytes, peers_[from].mac.has_value(), records_);
+    } catch (const Error&) {
+      // Broken framing: the record boundaries cannot be trusted, so the
+      // whole datagram goes (the ARQ recovers its data records).
+      ++metrics_.malformed_dropped;
+      return;
+    }
+    for (const auto record : records_) handle_record(from, record);
+  }
+
+  void handle_record(NodeId from, std::span<const std::uint8_t> bytes) {
     Peer& p = peers_[from];
     DatagramView d;
     try {
       d = decode_datagram(bytes, p.mac.has_value() ? &*p.mac : nullptr);
     } catch (const Error&) {
-      // Truncated, tampered, or forged: a datagram is self-contained, so
+      // Truncated, tampered, or forged: a record is self-contained, so
       // dropping it poisons nothing (unlike a broken TCP stream).
       ++metrics_.malformed_dropped;
       return;
@@ -717,9 +810,15 @@ class UdpMesh::Node final : public net::Context {
   std::unordered_map<std::uint16_t, NodeId> port_to_peer_;
   std::priority_queue<WireItem, std::vector<WireItem>, WireLater> wireq_;
   std::deque<std::pair<std::uint32_t, net::MessagePtr>> local_;
-  /// Pooled scratch (no steady-state allocations beyond datagram buffers).
+  /// Pooled scratch (no steady-state allocations beyond record buffers):
+  /// the one receive buffer, the records split out of it, and one flush's
+  /// packed datagrams with their sendmmsg(2) headers.
   std::vector<std::uint8_t> rbuf_;
+  std::vector<std::span<const std::uint8_t>> records_;
   std::vector<std::uint32_t> sack_scratch_;
+  DatagramPacker packer_;
+  std::vector<iovec> iov_;
+  std::vector<mmsghdr> mmsg_;
   TransportMetrics metrics_;
   std::string error_;
 };

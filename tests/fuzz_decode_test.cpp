@@ -5,15 +5,21 @@
 /// crash, hang, or over-allocate. This is the property that lets honest
 /// nodes treat arbitrary Byzantine bytes safely.
 ///
-/// The UDP datagram path rides the same harness (data + ack codecs under
-/// truncation/flips/garbage) plus its own properties: a tampered or
-/// renumbered authenticated datagram must fail the MAC (the tag covers the
-/// sequence number), and SeqFilter must deliver each seq exactly once no
-/// matter how datagrams are duplicated or reordered.
+/// The UDP datagram path rides the same harness (data + ack record codecs
+/// and a packed multi-record datagram under truncation/flips/garbage) plus
+/// its own properties: a tampered or renumbered authenticated record must
+/// fail the MAC (the tag covers the sequence number), a packed datagram
+/// splits into whole records whose MACs fail or pass one by one, broken
+/// framing is rejected without reading past the datagram, the packer keeps
+/// records whole, per-peer ordered and within one MTU, and SeqFilter must
+/// deliver each seq exactly once no matter how datagrams are duplicated or
+/// reordered.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <span>
 
 #include "aba/aba.hpp"
 #include "abraham/abraham.hpp"
@@ -32,6 +38,40 @@ namespace delphi {
 namespace {
 
 using Decoder = std::function<void(ByteReader&)>;
+using RecordSpans = std::vector<std::span<const std::uint8_t>>;
+
+const crypto::HmacKey& pack_key() {
+  static const crypto::HmacKey key = [] {
+    crypto::Key k{};
+    k.fill(0x3C);
+    return crypto::HmacKey(k);
+  }();
+  return key;
+}
+
+const std::vector<std::uint8_t> kPayloadA = {1, 2, 3};
+const std::vector<std::uint8_t> kPayloadB = {9, 8, 7, 6, 5};
+
+/// Three authenticated records as one flush would pack them for a peer:
+/// data (seq 4, channel 1), data (seq 5, channel 2), ack (cum 4, sack 6).
+std::vector<std::vector<std::uint8_t>> packed_records() {
+  const auto& key = pack_key();
+  const auto a = transport::encode_frame_body(1, kPayloadA, /*auth=*/true);
+  const auto b = transport::encode_frame_body(2, kPayloadB, /*auth=*/true);
+  const auto tag_a = transport::udp_frame_tag(key, 4, *a);
+  const auto tag_b = transport::udp_frame_tag(key, 5, *b);
+  const std::uint32_t sacks[] = {6};
+  return {transport::encode_data_datagram(4, *a, &tag_a),
+          transport::encode_data_datagram(5, *b, &tag_b),
+          transport::encode_ack_datagram(4, sacks, &key)};
+}
+
+std::vector<std::uint8_t> concat(
+    const std::vector<std::vector<std::uint8_t>>& records) {
+  std::vector<std::uint8_t> out;
+  for (const auto& r : records) out.insert(out.end(), r.begin(), r.end());
+  return out;
+}
 
 struct DecoderCase {
   const char* name;
@@ -186,6 +226,20 @@ std::vector<DecoderCase> all_decoders() {
                      },
                      transport::encode_data_datagram(0, *body, nullptr)});
   }
+  {
+    // Packed UDP datagram (data | data | ack): split into records, then
+    // decode and authenticate each one.
+    cases.push_back({"udp_packed",
+                     [](ByteReader& r) {
+                       RecordSpans records;
+                       transport::split_datagram(r.raw(r.remaining()),
+                                                 /*authed=*/true, records);
+                       for (const auto rec : records) {
+                         transport::decode_datagram(rec, &pack_key());
+                       }
+                     },
+                     concat(packed_records())});
+  }
   return cases;
 }
 
@@ -287,6 +341,170 @@ TEST(UdpDatagram, HugeSackCountRejectedBeforeAllocation) {
   const auto bytes = w.take();
   EXPECT_THROW(transport::decode_datagram(bytes, nullptr),
                SerializationError);
+}
+
+TEST(UdpDatagram, PackedRecordsSplitAndDecodeInOrder) {
+  const auto records = packed_records();
+  const auto dgram = concat(records);
+  RecordSpans split;
+  transport::split_datagram(dgram, /*authed=*/true, split);
+  ASSERT_EQ(split.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(std::ranges::equal(split[i], records[i])) << "record " << i;
+  }
+  const auto a = transport::decode_datagram(split[0], &pack_key());
+  EXPECT_FALSE(a.is_ack);
+  EXPECT_EQ(a.seq, 4u);
+  EXPECT_EQ(a.channel, 1u);
+  EXPECT_TRUE(std::ranges::equal(a.payload, kPayloadA));
+  const auto b = transport::decode_datagram(split[1], &pack_key());
+  EXPECT_FALSE(b.is_ack);
+  EXPECT_EQ(b.seq, 5u);
+  EXPECT_EQ(b.channel, 2u);
+  EXPECT_TRUE(std::ranges::equal(b.payload, kPayloadB));
+  const auto ack = transport::decode_datagram(split[2], &pack_key());
+  EXPECT_TRUE(ack.is_ack);
+  EXPECT_EQ(ack.seq, 4u);
+  EXPECT_EQ(ack.sacks, std::vector<std::uint32_t>{6});
+}
+
+TEST(UdpDatagram, TamperedMiddleRecordFailsAloneNeighboursDecode) {
+  // The framing is not authenticated, but every record carries its own MAC:
+  // a tampered record fails alone and its neighbours still decode.
+  const auto records = packed_records();
+  auto dgram = concat(records);
+  const std::size_t middle_payload_end =
+      records[0].size() + records[1].size() - crypto::kMacTagSize;
+  dgram[middle_payload_end - 1] ^= 0x40;
+  RecordSpans split;
+  transport::split_datagram(dgram, /*authed=*/true, split);
+  ASSERT_EQ(split.size(), 3u);
+  EXPECT_NO_THROW(transport::decode_datagram(split[0], &pack_key()));
+  EXPECT_THROW(transport::decode_datagram(split[1], &pack_key()),
+               ProtocolViolation);
+  EXPECT_NO_THROW(transport::decode_datagram(split[2], &pack_key()));
+}
+
+TEST(UdpDatagram, BrokenFramingRejectedWithoutOverread) {
+  // Every input below is its own exactly-sized heap buffer, so a read past
+  // the datagram end trips AddressSanitizer.
+  const auto records = packed_records();
+  const auto dgram = concat(records);
+  RecordSpans split;
+
+  // The middle record's length field claims more bytes than remain.
+  auto overlong = dgram;
+  const std::size_t len_at = records[0].size() + 5;  // kind | seq | len
+  const auto claim = static_cast<std::uint32_t>(dgram.size());
+  for (std::size_t i = 0; i < 4; ++i) {
+    overlong[len_at + i] = static_cast<std::uint8_t>(claim >> (8 * i));
+  }
+  EXPECT_THROW(transport::split_datagram(overlong, true, split),
+               SerializationError);
+
+  // Every cut of the datagram: a cut on a record boundary leaves the
+  // leading records; any other cut leaves a truncated last record.
+  for (std::size_t len = 0; len < dgram.size(); ++len) {
+    SCOPED_TRACE(len);
+    const std::vector<std::uint8_t> prefix(dgram.begin(), dgram.begin() + len);
+    std::size_t whole = 0;
+    std::size_t boundary = 0;
+    while (whole < records.size() && boundary + records[whole].size() <= len) {
+      boundary += records[whole++].size();
+    }
+    if (boundary == len) {
+      transport::split_datagram(prefix, true, split);
+      EXPECT_EQ(split.size(), whole);
+    } else {
+      EXPECT_THROW(transport::split_datagram(prefix, true, split),
+                   SerializationError);
+    }
+  }
+
+  // A stray trailing byte, whether it reads as a record kind or not.
+  for (const std::uint8_t stray :
+       {transport::kDatagramData, transport::kDatagramAck, std::uint8_t{0}}) {
+    auto trailing = dgram;
+    trailing.push_back(stray);
+    EXPECT_THROW(transport::split_datagram(trailing, true, split),
+                 SerializationError);
+  }
+}
+
+// ---------------------------------------------------------------- packer
+
+TEST(UdpPacker, OneRecordDatagramIsTheRecord) {
+  const auto body = transport::encode_frame_body(3, kPayloadA, /*auth=*/true);
+  const auto tag = transport::udp_frame_tag(pack_key(), 9, *body);
+  const auto record = transport::encode_data_datagram(9, *body, &tag);
+  transport::DatagramPacker packer;
+  packer.add(2, record);
+  ASSERT_EQ(packer.size(), 1u);
+  EXPECT_EQ(packer.to(0), 2u);
+  EXPECT_TRUE(std::ranges::equal(packer.datagram(0), record));
+}
+
+TEST(UdpPacker, SmallRecordsForOnePeerShareOneDatagram) {
+  const auto records = packed_records();
+  transport::DatagramPacker packer;
+  for (const auto& r : records) packer.add(1, r);
+  ASSERT_EQ(packer.size(), 1u);
+  EXPECT_TRUE(std::ranges::equal(packer.datagram(0), concat(records)));
+  packer.clear();
+  EXPECT_EQ(packer.size(), 0u);
+}
+
+TEST(UdpPacker, RecordsStayWholeOrderedAndWithinTheMtu) {
+  // Random flushes of data and ack records, small and over-MTU, for five
+  // peers. Splitting each datagram back and concatenating per peer must give
+  // exactly the records added for that peer, in order; a datagram holding
+  // two or more records never exceeds one MTU.
+  constexpr std::size_t kPeers = 5;
+  Rng rng(0x9AC4);
+  transport::DatagramPacker packer;
+  RecordSpans split;
+  for (int flush = 0; flush < 40; ++flush) {
+    SCOPED_TRACE(flush);
+    packer.clear();
+    std::vector<std::vector<std::vector<std::uint8_t>>> added(kPeers);
+    const std::size_t count = 1 + rng.below(150);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto to = static_cast<NodeId>(rng.below(kPeers));
+      std::vector<std::uint8_t> record;
+      if (rng.below(4) == 0) {
+        std::vector<std::uint32_t> sacks(rng.below(40));
+        for (auto& sack : sacks) sack = static_cast<std::uint32_t>(rng.below(1000));
+        record = transport::encode_ack_datagram(
+            static_cast<std::uint32_t>(i), sacks, nullptr);
+      } else {
+        const std::size_t size =
+            rng.below(10) == 0 ? 1400 + rng.below(2000) : rng.below(200);
+        std::vector<std::uint8_t> payload(size,
+                                          static_cast<std::uint8_t>(i));
+        const auto body =
+            transport::encode_frame_body(0, payload, /*auth=*/false);
+        record = transport::encode_data_datagram(
+            static_cast<std::uint32_t>(i), *body, nullptr);
+      }
+      packer.add(to, record);
+      added[to].push_back(std::move(record));
+    }
+    std::vector<std::vector<std::vector<std::uint8_t>>> got(kPeers);
+    for (std::size_t d = 0; d < packer.size(); ++d) {
+      const auto dgram = packer.datagram(d);
+      transport::split_datagram(dgram, /*authed=*/false, split);
+      ASSERT_FALSE(split.empty());
+      if (split.size() >= 2) {
+        EXPECT_LE(dgram.size(), transport::kPackedDatagramBytes);
+      }
+      for (const auto rec : split) {
+        got[packer.to(d)].emplace_back(rec.begin(), rec.end());
+      }
+    }
+    for (std::size_t p = 0; p < kPeers; ++p) {
+      EXPECT_EQ(got[p], added[p]) << "peer " << p;
+    }
+  }
 }
 
 TEST(UdpSeqFilter, DupAndReorderNeverMisdeliver) {

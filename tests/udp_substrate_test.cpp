@@ -11,7 +11,9 @@
 ///     dropping 1% and 5% of datagrams (selective-repeat ARQ recovery);
 ///   * the dup filter under datagram duplication keeps delivery exactly-once
 ///     (loss makes the ARQ retransmit; parity of delivered message counts
-///     pins that duplicates never reach the protocol).
+///     pins that duplicates never reach the protocol);
+///   * packing — a fault-free pipelined Delphi run puts several frames in a
+///     datagram, so it sends fewer datagrams than logical frames.
 
 #include <gtest/gtest.h>
 
@@ -173,6 +175,27 @@ TEST(UdpRuntimeSuite, BurstLossAndRateShapingStillTerminate) {
   spec.params["timeout-ms"] = 60'000;
   const auto rep = UdpRuntime().run(spec);
   EXPECT_TRUE(rep.ok) << rep.unfinished.size() << " unfinished";
+}
+
+// ---------------------------------------------------------------- packing
+
+TEST(UdpRuntimeSuite, PackingSendsFewerDatagramsThanFrames) {
+  // Delphi's echoes are many small frames. Every record due for a peer in
+  // one flush shares an MTU-sized datagram, so the wire datagrams — acks
+  // and any retransmissions included — must undercount the logical frames.
+  // One frame per datagram would send at least one datagram per frame.
+  ScenarioSpec spec = small_spec("delphi", 4);
+  spec.instances = 16;
+  const auto rep = UdpRuntime().run(spec);
+  ASSERT_TRUE(rep.ok) << rep.unfinished.size() << " unfinished";
+  std::uint64_t frames = 0;
+  std::uint64_t datagrams = 0;
+  for (const auto& nc : rep.nodes) {
+    frames += nc.msgs_sent;
+    datagrams += nc.datagrams_sent;
+  }
+  EXPECT_GT(datagrams, 0u);
+  EXPECT_LT(datagrams, frames);
 }
 
 }  // namespace
