@@ -34,8 +34,10 @@ class Context {
   /// System size n.
   virtual std::size_t n() const = 0;
 
-  /// Current local time (simulated µs under the simulator; wall µs under
-  /// TCP). Protocols in this repo never branch on time — asynchronous-model
+  /// Current local time in µs: simulated time under the simulator; on the
+  /// TCP and UDP substrates, wall time since the cluster's shared epoch
+  /// (every node of a cluster reads the same clock, starting near 0).
+  /// Protocols in this repo never branch on time — asynchronous-model
   /// correctness forbids it — but applications and metrics read it.
   virtual SimTime now() const = 0;
 

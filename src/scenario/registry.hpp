@@ -24,7 +24,7 @@
 
 #include "net/protocol.hpp"
 #include "scenario/spec.hpp"
-#include "transport/tcp.hpp"
+#include "transport/cluster.hpp"
 
 namespace delphi::scenario {
 

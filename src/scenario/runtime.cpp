@@ -281,12 +281,20 @@ void check_netem_support(const ScenarioSpec& rs) {
   }
 }
 
-/// The socket-substrate run body shared by TcpRuntime and UdpRuntime: both
-/// clusters expose the same lifecycle/observer API, so only the Options
-/// differ.
-template <typename Cluster>
+/// The option fields every socket cluster shares, from the spec.
+void fill_cluster_options(const ScenarioSpec& rs,
+                          transport::ClusterOptions& opts) {
+  opts.n = rs.n;
+  opts.auth = rs.param("auth", 1.0) != 0.0;
+  opts.seed = rs.seed;
+  opts.timeout_ms = static_cast<std::int64_t>(rs.param("timeout-ms", 30'000.0));
+  opts.netem = netem_from_spec(rs);
+  opts.churn = churn_windows(rs);
+}
+
+/// The socket-substrate run body shared by TcpRuntime and UdpRuntime.
 RunReport run_cluster(const ProtocolInfo& info, const ScenarioSpec& rs,
-                      const typename Cluster::Options& opts) {
+                      transport::SocketCluster& cluster) {
   const auto crashed = crash_set(rs);
   auto faulted = crashed;
   faulted.merge(byzantine_set(rs));
@@ -296,7 +304,6 @@ RunReport run_cluster(const ProtocolInfo& info, const ScenarioSpec& rs,
   const auto factory = with_faults(make_node_factory(info, rs), crashed,
                                    byzantine_set(rs), rs.byzantine);
 
-  Cluster cluster(opts);
   const auto start = std::chrono::steady_clock::now();
   cluster.start(factory, make_node_decoder(info, rs));
 
@@ -424,18 +431,14 @@ RunReport TcpRuntime::run(const ScenarioSpec& spec) {
   const ScenarioSpec rs = resolve(spec, reg, info);
   check_netem_support(rs);
 
-  transport::TcpCluster::Options opts;
-  opts.n = rs.n;
-  opts.auth = rs.param("auth", 1.0) != 0.0;
-  opts.seed = rs.seed;
-  opts.timeout_ms = static_cast<std::int64_t>(rs.param("timeout-ms", 30'000.0));
-  opts.nodelay = rs.param("nodelay", 1.0) != 0.0;
   // Every adversary= form runs here via the shim's holdback (delay-only:
-  // check_netem_support already rejected the loss knobs).
-  opts.netem = netem_from_spec(rs);
-  opts.churn = churn_windows(rs);  // non-empty implies recovery mode
-
-  return run_cluster<transport::TcpCluster>(info, rs, opts);
+  // check_netem_support already rejected the loss knobs); a churn schedule
+  // turns on the recovery lifecycle.
+  transport::TcpCluster::Options opts;
+  fill_cluster_options(rs, opts);
+  opts.nodelay = rs.param("nodelay", 1.0) != 0.0;
+  transport::TcpCluster cluster(opts);
+  return run_cluster(info, rs, cluster);
 }
 
 RunReport UdpRuntime::run(const ScenarioSpec& spec) {
@@ -445,15 +448,10 @@ RunReport UdpRuntime::run(const ScenarioSpec& spec) {
   check_netem_support(rs);
 
   transport::UdpMesh::Options opts;
-  opts.n = rs.n;
-  opts.auth = rs.param("auth", 1.0) != 0.0;
-  opts.seed = rs.seed;
-  opts.timeout_ms = static_cast<std::int64_t>(rs.param("timeout-ms", 30'000.0));
+  fill_cluster_options(rs, opts);
   opts.rto_ms = static_cast<std::int64_t>(rs.param("rto-ms", 25.0));
-  opts.netem = netem_from_spec(rs);
-  opts.churn = churn_windows(rs);
-
-  return run_cluster<transport::UdpMesh>(info, rs, opts);
+  transport::UdpMesh cluster(opts);
+  return run_cluster(info, rs, cluster);
 }
 
 RunReport run_scenario(const ScenarioSpec& spec) {

@@ -13,7 +13,7 @@
 #include "dolev/dolev.hpp"
 #include "oracle/dora.hpp"
 #include "rbc/rbc.hpp"
-#include "transport/tcp.hpp"
+#include "transport/cluster.hpp"
 
 namespace delphi::transport::decoders {
 

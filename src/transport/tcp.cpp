@@ -1,8 +1,5 @@
 #include "transport/tcp.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -10,18 +7,18 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
+#include <deque>
+#include <optional>
 #include <queue>
 #include <string>
 
 #include "common/error.hpp"
+#include "transport/cluster_node.hpp"
 
 namespace delphi::transport {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /// First bytes on every link: magic + the initiator's node id, plus (on
 /// authenticated deployments) an HMAC tag under the pairwise key — without
@@ -51,11 +48,12 @@ constexpr std::size_t kStageFrameLimit = 256;
 /// invalidate iovec pointers) cannot happen.
 constexpr std::size_t kStageByteBudget = 256 * 1024;
 
-/// Recovery-mode hellos (Options::recovery) append a u64 after the prefix:
-/// how many complete frames the sender has received from the destination on
-/// this link across all its incarnations. The other side replays exactly the
-/// suffix of its send log the count says is missing. Legacy (non-recovery)
-/// hellos stay byte-identical to the pre-recovery wire format.
+/// Recovery-mode hellos (clusters with a churn schedule) append a u64 after
+/// the prefix: how many complete frames the sender has received from the
+/// destination on this link across all its incarnations. The other side
+/// replays exactly the suffix of its send log the count says is missing.
+/// Legacy (churn-free) hellos stay byte-identical to the pre-recovery wire
+/// format.
 std::size_t hello_size(bool auth, bool recovery = false) {
   return kHelloPrefixSize + (recovery ? 8 : 0) +
          (auth ? crypto::kMacTagSize : 0);
@@ -75,74 +73,15 @@ crypto::Digest hello_tag(const crypto::Key& key, NodeId initiator,
 /// without completing its hello before it is declared half-open and dropped.
 constexpr SimTime kDialTimeoutUs = 2'000'000;
 
-[[noreturn]] void sys_fail(const std::string& what) {
-  throw Error(what + ": " + std::strerror(errno));
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    sys_fail("fcntl(O_NONBLOCK)");
-  }
-}
+/// Per-link replay log byte budget in recovery mode. Drop-oldest beyond it
+/// (graceful degradation: a rejoining peer that out-lived the budget misses
+/// the dropped prefix and relies on protocol-level redundancy).
+constexpr std::size_t kReplayBudgetBytes = std::size_t{32} << 20;
 
 void set_nodelay(int fd) {
   const int one = 1;
   // Best-effort: latency tuning, not correctness.
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-sockaddr_in loopback_addr(std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  return addr;
-}
-
-/// Bind a listening socket on 127.0.0.1 with an OS-assigned port.
-int make_listen_socket(std::uint16_t& port_out) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) sys_fail("socket");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = loopback_addr(0);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    sys_fail("bind");
-  }
-  if (::listen(fd, SOMAXCONN) < 0) {
-    ::close(fd);
-    sys_fail("listen");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
-    ::close(fd);
-    sys_fail("getsockname");
-  }
-  port_out = ntohs(addr.sin_port);
-  return fd;
-}
-
-/// Bind a listening socket on 127.0.0.1 on a *specific* port — how a
-/// restarted node reclaims its published identity (peers re-dial the port
-/// they were given at cluster start; SO_REUSEADDR beats the old socket's
-/// lingering state on loopback).
-int make_listen_socket_on(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) sys_fail("socket(rebind)");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = loopback_addr(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    sys_fail("bind(rebind port " + std::to_string(port) + ")");
-  }
-  if (::listen(fd, SOMAXCONN) < 0) {
-    ::close(fd);
-    sys_fail("listen(rebind)");
-  }
-  return fd;
 }
 
 /// Blocking connect with retry until `deadline` (peers may not be accepting
@@ -210,36 +149,17 @@ bool write_fully(int fd, std::span<const std::uint8_t> data) {
 
 // --------------------------------------------------------------------- Node
 
-class TcpCluster::Node final : public net::Context {
+class TcpCluster::Node final : public ClusterNode {
  public:
-  Node(NodeId self, const Options& opts, const crypto::KeyStore& keys,
-       const std::vector<std::uint16_t>& ports, int listen_fd,
-       Clock::time_point epoch, std::unique_ptr<net::Protocol> protocol,
-       std::function<std::unique_ptr<net::Protocol>()> rebuild,
-       Decoder decoder, net::WakeupFd& done_wake)
-      : self_(self),
-        opts_(opts),
-        keys_(keys),
-        ports_(ports),
-        listen_fd_(listen_fd),
-        epoch_(epoch),
-        protocol_(std::move(protocol)),
-        rebuild_(std::move(rebuild)),
-        decoder_(std::move(decoder)),
-        done_wake_(done_wake),
-        rng_(opts.seed ^ (0x9e3779b97f4a7c15ULL * (self + 1))),
+  Node(NodeArgs& args, bool nodelay)
+      : ClusterNode(args),
+        listen_fd_(args.fd),
+        nodelay_(nodelay),
         // Backoff jitter gets its own deterministic stream so the
         // supervisor never perturbs the protocol's rng() draws.
-        jitter_rng_(opts.seed ^ (0xc2b2ae3d27d4eb4fULL * (self + 2))),
-        recovery_(opts.recovery) {
+        jitter_rng_(opts_.seed ^ (0xc2b2ae3d27d4eb4fULL * (self_ + 2))),
+        recovery_(!opts_.churn.empty()) {
     peers_.resize(opts_.n);
-    for (const auto& w : opts_.churn) {
-      if (w.id == self_) windows_.push_back(w);
-    }
-    std::sort(windows_.begin(), windows_.end(),
-              [](const ChurnWindow& a, const ChurnWindow& b) {
-                return a.down_us < b.down_us;
-              });
     for (NodeId j = 0; j < opts_.n; ++j) {
       if (j == self_) continue;
       Peer& p = peers_[j];
@@ -265,89 +185,6 @@ class TcpCluster::Node final : public net::Context {
     if (listen_fd_ >= 0) ::close(listen_fd_);
   }
 
-  // ---- net::Context -------------------------------------------------------
-  NodeId self() const override { return self_; }
-  std::size_t n() const override { return opts_.n; }
-
-  SimTime now() const override {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               Clock::now().time_since_epoch())
-        .count();
-  }
-
-  void send(NodeId to, std::uint32_t channel, net::MessagePtr msg) override {
-    DELPHI_ASSERT(to < opts_.n, "tcp send: bad destination");
-    if (to == self_) {
-      local_.emplace_back(channel, std::move(msg));
-      return;
-    }
-    enqueue_frame(to, encode_frame_body(channel, *msg, opts_.auth));
-  }
-
-  void broadcast(std::uint32_t channel, net::MessagePtr msg) override {
-    // One serialization for all destinations: the body (length prefix +
-    // channel + payload) is immutable and shared; only per-link tags differ.
-    const SharedFrameBody body = encode_frame_body(channel, *msg, opts_.auth);
-    for (NodeId j = 0; j < opts_.n; ++j) {
-      if (j == self_) {
-        local_.emplace_back(channel, msg);
-      } else {
-        enqueue_frame(j, body);
-      }
-    }
-  }
-
-  void charge_compute(SimTime) override {}  // real cycles are already spent
-  Rng& rng() override { return rng_; }
-
-  // ---- lifecycle -----------------------------------------------------------
-
-  /// Entire node life: mesh setup, protocol start, event loop. Runs on the
-  /// node's own thread; never touches other nodes.
-  void run(const std::atomic<bool>& stop) {
-    try {
-      // A stop that interrupts setup is not this node's failure: the
-      // cluster is shutting down for another reason (the deadline), and
-      // the node simply never starts its protocol.
-      if (setup_mesh(stop)) {
-        meshed.store(true, std::memory_order_release);
-        done_wake_.signal();
-        protocol_->on_start(*this);
-        drain_local();
-        note_termination();
-        event_loop(stop);
-      }
-    } catch (const std::exception& e) {
-      error_ = e.what();
-    }
-    if (have_snapshot_) {
-      // Stopped (or died) while dark: rebuild the protocol from its
-      // snapshot so outputs stay harvestable after the join.
-      try {
-        restore_protocol();
-      } catch (const std::exception& e) {
-        if (error_.empty()) error_ = e.what();
-      }
-    }
-    // A thread that exits un-terminated is dead for good; wake wait() so it
-    // can fail fast instead of sleeping out the whole deadline.
-    exited.store(true, std::memory_order_release);
-    done_wake_.signal();
-  }
-
-  /// Interrupt this node's (possibly indefinite) poll. Any thread.
-  void wake() noexcept { wake_.signal(); }
-
-  std::atomic<bool> done{false};
-  /// This node finished mesh setup and is about to start its protocol.
-  std::atomic<bool> meshed{false};
-  /// This node's thread has returned from run() (error or stop).
-  std::atomic<bool> exited{false};
-
-  net::Protocol& protocol() { return *protocol_; }
-  const TransportMetrics& metrics() const { return metrics_; }
-  const std::string& error() const { return error_; }
-
  private:
   /// One queued outbound frame: the shared destination-independent body and
   /// this link's MAC tag (meaningful only on authenticated links).
@@ -369,7 +206,7 @@ class TcpCluster::Node final : public net::Context {
     /// Last writev hit EAGAIN: wait for POLLOUT instead of re-trying.
     bool blocked = false;
 
-    // ---- recovery mode only (inert when Options::recovery is off) ----
+    // ---- recovery mode only (inert without a churn schedule) ----
     /// Frames ever enqueued on this link (== log_start + log.size()).
     std::uint64_t sent_count = 0;
     /// Sequence number of log.front(); earlier frames fell off the budget.
@@ -414,13 +251,7 @@ class TcpCluster::Node final : public net::Context {
     }
   };
 
-  SimTime now_us() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 epoch_)
-        .count();
-  }
-
-  void enqueue_frame(NodeId to, const SharedFrameBody& body) {
+  void enqueue_frame(NodeId to, const SharedFrameBody& body) override {
     Peer& p = peers_[to];
     // Counted at enqueue (matches the simulator's send-time accounting and
     // the pre-overhaul data plane), even if the link has died since.
@@ -438,7 +269,7 @@ class TcpCluster::Node final : public net::Context {
       const SimTime now = now_us();
       const auto v =
           p.shim.on_send(now, frame_wire_size(*body, p.mac.has_value()));
-      // Delay-only on TCP (drop verdicts ignored — see Options::netem): a
+      // Delay-only on TCP (drop verdicts ignored — see Options): a
       // future release parks the frame on the holdback heap; the event loop
       // moves it to the outq when due.
       if (v.release_us > now) {
@@ -470,7 +301,7 @@ class TcpCluster::Node final : public net::Context {
     ++p.sent_count;
     p.log.push_back(pf);
     p.log_bytes += frame_wire_size(*pf.body, auth);
-    while (p.log_bytes > opts_.replay_budget_bytes && !p.log.empty()) {
+    while (p.log_bytes > kReplayBudgetBytes && !p.log.empty()) {
       p.log_bytes -= frame_wire_size(*p.log.front().body, auth);
       p.log.pop_front();
       ++p.log_start;
@@ -581,7 +412,7 @@ class TcpCluster::Node final : public net::Context {
         fail_dial(j, p);
         return;
       }
-      if (opts_.nodelay) set_nodelay(p.dial_fd);
+      if (nodelay_) set_nodelay(p.dial_fd);
       const crypto::Key* key =
           opts_.auth ? &keys_.channel_key(self_, j) : nullptr;
       const std::uint64_t recv = p.recv_count;
@@ -638,7 +469,7 @@ class TcpCluster::Node final : public net::Context {
     while (true) {
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) break;
-      if (opts_.nodelay) set_nodelay(fd);
+      if (nodelay_) set_nodelay(fd);
       set_nonblocking(fd);
       accepts_.push_back({fd, {}, now_us() + kDialTimeoutUs});
     }
@@ -734,22 +565,9 @@ class TcpCluster::Node final : public net::Context {
     }
   }
 
-  /// Drive this node's own restart schedule.
-  void churn_tick() {
-    if (!down_ && next_window_ < windows_.size() &&
-        now_us() >= windows_[next_window_].down_us) {
-      go_down(windows_[next_window_].up_us);
-      ++next_window_;
-    }
-    if (down_ && now_us() >= up_at_) come_up();
-  }
-
-  /// The node goes dark: close every socket (peers observe EOF / refused
-  /// connections), snapshot a restartable protocol, freeze until up_at.
-  void go_down(SimTime up_at) {
-    down_ = true;
-    up_at_ = up_at;
-    down_since_ = now_us();
+  /// Going dark: close every socket (peers observe EOF / refused
+  /// connections) and drop all in-flight link state.
+  void links_down() override {
     for (NodeId j = 0; j < opts_.n; ++j) {
       if (j == self_) continue;
       Peer& p = peers_[j];
@@ -771,62 +589,24 @@ class TcpCluster::Node final : public net::Context {
       listen_fd_ = -1;
     }
     held_ = {};  // held frames are all in the replay logs already
-    // A RestartableProtocol is serialized and destroyed — the rejoin
-    // rebuilds it from bytes, proving the snapshot path end to end. Other
-    // protocols keep their in-memory state across the dark window and rely
-    // on message-level redundancy to catch up.
-    if (rebuild_) {
-      if (auto* rp =
-              dynamic_cast<net::RestartableProtocol*>(protocol_.get())) {
-        ByteWriter w(256);
-        rp->snapshot(w);
-        snapshot_ = w.take();
-        have_snapshot_ = true;
-        protocol_.reset();
-      }
-    }
   }
 
-  /// Restart: rebind the listen port, restore the protocol, re-dial every
-  /// lower id (higher ids re-dial us once they see the port is back).
-  void come_up() {
-    down_ = false;
-    metrics_.downtime_us += static_cast<std::uint64_t>(now_us() - down_since_);
-    listen_fd_ = make_listen_socket_on(ports_[self_]);
+  /// Restart: rebind the listen port and re-dial every lower id (higher ids
+  /// re-dial us once they see the port is back).
+  void links_up() override {
+    std::uint16_t port = ports_[self_];
+    listen_fd_ = bind_listen_socket(port);
     set_nonblocking(listen_fd_);
-    if (have_snapshot_) restore_protocol();
     for (NodeId j = 0; j < self_; ++j) {
       peers_[j].redial_attempts = 0;
       peers_[j].redial_at = now_us();  // dial now, back off on failure
     }
-    drain_local();
-    note_termination();
-  }
-
-  void restore_protocol() {
-    protocol_ = rebuild_();
-    auto* rp = dynamic_cast<net::RestartableProtocol*>(protocol_.get());
-    DELPHI_ASSERT(rp != nullptr, "tcp restart: factory lost snapshot support");
-    ByteReader r(snapshot_);
-    rp->restore(r);
-    snapshot_.clear();
-    have_snapshot_ = false;
-  }
-
-  /// The dark window: every socket is closed; nothing to do but wait for
-  /// the restart clock or the cluster stop signal (re-checked by the
-  /// caller's loop right after we return).
-  void park_dark() {
-    const SimTime ms = (up_at_ - now_us()) / 1000 + 1;
-    pollfd pf{wake_.fd(), POLLIN, 0};
-    ::poll(&pf, 1, static_cast<int>(std::clamp<SimTime>(ms, 0, 60'000)));
-    if (pf.revents != 0) wake_.drain();
   }
 
   /// Establish the full mesh: connect to every lower id, accept from every
   /// higher id, exchanging an 8-byte hello to bind fds to node ids. Returns
   /// false if a stop request interrupted it.
-  bool setup_mesh(const std::atomic<bool>& stop) {
+  bool setup_links(const std::atomic<bool>& stop) override {
     const auto deadline =
         Clock::now() + std::chrono::milliseconds(opts_.timeout_ms);
     for (NodeId j = 0; j < self_; ++j) {
@@ -836,7 +616,7 @@ class TcpCluster::Node final : public net::Context {
         const int fd = connect_with_retry(ports_[j], deadline);
         if (!recovery_) {
           write_all(fd, encode_hello(self_, key));
-          if (opts_.nodelay) set_nodelay(fd);
+          if (nodelay_) set_nodelay(fd);
           set_nonblocking(fd);
           peers_[j].fd = fd;
           break;
@@ -869,7 +649,7 @@ class TcpCluster::Node final : public net::Context {
       while (true) {
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) break;
-        if (opts_.nodelay) set_nodelay(fd);
+        if (nodelay_) set_nodelay(fd);
         set_nonblocking(fd);
         pending.push_back({fd, {}});
       }
@@ -968,124 +748,88 @@ class TcpCluster::Node final : public net::Context {
       ::close(fd);
       return false;
     }
-    if (opts_.nodelay) set_nodelay(fd);
+    if (nodelay_) set_nodelay(fd);
     set_nonblocking(fd);
     peers_[j].fd = fd;
     return true;
   }
 
-  /// Deliver every queued self-message (handlers may enqueue more).
-  void drain_local() {
-    while (!local_.empty()) {
-      auto [channel, msg] = std::move(local_.front());
-      local_.pop_front();
-      dispatch(self_, channel, *msg);
+  /// One event-driven pass: write everything writable, then block in
+  /// poll(2) — without a timeout unless a timer is due — until socket
+  /// activity or a wakeup signal. No sleep ticks anywhere.
+  void poll_once() override {
+    if (recovery_) supervisor_tick();
+    if (!held_.empty()) release_held(now_us());
+    flush_pending();
+
+    pollfds_.clear();
+    owners_.clear();
+    pollfds_.push_back({wake_.fd(), POLLIN, 0});
+    owners_.push_back({FdKind::kPeer, self_});  // placeholder, aligned
+    for (NodeId j = 0; j < opts_.n; ++j) {
+      Peer& p = peers_[j];
+      if (p.fd >= 0) {
+        short events = POLLIN;
+        if (p.blocked && !p.outq.empty()) events |= POLLOUT;
+        pollfds_.push_back({p.fd, events, 0});
+        owners_.push_back({FdKind::kPeer, j});
+      }
+      if (p.dial_fd >= 0) {
+        // Writable = connect finished; readable = reply-hello bytes.
+        pollfds_.push_back({p.dial_fd,
+                            p.dial_hello_sent ? short(POLLIN)
+                                              : short(POLLOUT),
+                            0});
+        owners_.push_back({FdKind::kDial, j});
+      }
     }
-  }
-
-  void dispatch(NodeId from, std::uint32_t channel,
-                const net::MessageBody& body) {
-    try {
-      protocol_->on_message(*this, from, channel, body);
-      ++metrics_.msgs_delivered;
-    } catch (const Error&) {
-      ++metrics_.malformed_dropped;
+    if (recovery_ && listen_fd_ >= 0) {
+      pollfds_.push_back({listen_fd_, POLLIN, 0});
+      owners_.push_back({FdKind::kListen, 0});
     }
-  }
-
-  void note_termination() {
-    if (protocol_ == nullptr) return;  // dark window of a snapshot restart
-    if (!done.load(std::memory_order_relaxed) && protocol_->terminated()) {
-      done.store(true, std::memory_order_release);
-      done_wake_.signal();  // wait() blocks on this instead of a timer
+    for (std::size_t a = 0; a < accepts_.size(); ++a) {
+      pollfds_.push_back({accepts_[a].fd, POLLIN, 0});
+      owners_.push_back({FdKind::kAccept, static_cast<NodeId>(a)});
     }
-  }
 
-  /// Event-driven main loop: write everything writable, then block in
-  /// poll(2) — without a timeout — until socket activity or a wakeup
-  /// signal. No sleep ticks anywhere.
-  void event_loop(const std::atomic<bool>& stop) {
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (recovery_) {
-        churn_tick();
-        if (down_) {
-          park_dark();
-          continue;
-        }
-        supervisor_tick();
-      }
-      if (!held_.empty()) release_held(now_us());
-      flush_pending();
+    if (::poll(pollfds_.data(), pollfds_.size(), poll_timeout()) < 0) {
+      if (errno == EINTR) return;
+      sys_fail("poll");
+    }
+    if (pollfds_[0].revents != 0) wake_.drain();  // the caller re-checks stop
 
-      pollfds_.clear();
-      owners_.clear();
-      pollfds_.push_back({wake_.fd(), POLLIN, 0});
-      owners_.push_back({FdKind::kPeer, self_});  // placeholder, aligned
-      for (NodeId j = 0; j < opts_.n; ++j) {
-        Peer& p = peers_[j];
-        if (p.fd >= 0) {
-          short events = POLLIN;
-          if (p.blocked && !p.outq.empty()) events |= POLLOUT;
-          pollfds_.push_back({p.fd, events, 0});
-          owners_.push_back({FdKind::kPeer, j});
-        }
-        if (p.dial_fd >= 0) {
-          // Writable = connect finished; readable = reply-hello bytes.
-          pollfds_.push_back({p.dial_fd,
-                              p.dial_hello_sent ? short(POLLIN)
-                                                : short(POLLOUT),
-                              0});
-          owners_.push_back({FdKind::kDial, j});
-        }
-      }
-      if (recovery_ && listen_fd_ >= 0) {
-        pollfds_.push_back({listen_fd_, POLLIN, 0});
-        owners_.push_back({FdKind::kListen, 0});
-      }
-      for (std::size_t a = 0; a < accepts_.size(); ++a) {
-        pollfds_.push_back({accepts_[a].fd, POLLIN, 0});
-        owners_.push_back({FdKind::kAccept, static_cast<NodeId>(a)});
-      }
-
-      if (::poll(pollfds_.data(), pollfds_.size(), poll_timeout()) < 0) {
-        if (errno == EINTR) continue;
-        sys_fail("poll");
-      }
-      if (pollfds_[0].revents != 0) wake_.drain();  // stop re-checked above
-
-      for (std::size_t i = 1; i < pollfds_.size(); ++i) {
-        const PollOwner owner = owners_[i];
-        switch (owner.kind) {
-          case FdKind::kPeer: {
-            Peer& p = peers_[owner.idx];
-            if (p.fd < 0) break;
-            if (pollfds_[i].revents & (POLLIN | POLLERR | POLLHUP)) {
-              read_peer(owner.idx, p);
-            }
-            if (p.fd >= 0 && (pollfds_[i].revents & POLLOUT)) {
-              p.blocked = false;
-              flush_peer(owner.idx, p);
-            }
-            drain_local();
-            break;
+    for (std::size_t i = 1; i < pollfds_.size(); ++i) {
+      const PollOwner owner = owners_[i];
+      switch (owner.kind) {
+        case FdKind::kPeer: {
+          Peer& p = peers_[owner.idx];
+          if (p.fd < 0) break;
+          if (pollfds_[i].revents & (POLLIN | POLLERR | POLLHUP)) {
+            read_peer(owner.idx, p);
           }
-          case FdKind::kDial:
-            if (pollfds_[i].revents != 0) {
-              progress_dial(owner.idx, peers_[owner.idx]);
-            }
-            break;
-          case FdKind::kListen:
-            if (pollfds_[i].revents & POLLIN) accept_reconnects();
-            break;
-          case FdKind::kAccept:
-            // Handled wholesale below: progress_accepts() compacts the
-            // vector, which would invalidate the owner indices here.
-            break;
+          if (p.fd >= 0 && (pollfds_[i].revents & POLLOUT)) {
+            p.blocked = false;
+            flush_peer(owner.idx, p);
+          }
+          drain_local();
+          break;
         }
+        case FdKind::kDial:
+          if (pollfds_[i].revents != 0) {
+            progress_dial(owner.idx, peers_[owner.idx]);
+          }
+          break;
+        case FdKind::kListen:
+          if (pollfds_[i].revents & POLLIN) accept_reconnects();
+          break;
+        case FdKind::kAccept:
+          // Handled wholesale below: progress_accepts() compacts the
+          // vector, which would invalidate the owner indices here.
+          break;
       }
-      if (recovery_ && !accepts_.empty()) progress_accepts();
-      note_termination();
     }
+    if (recovery_ && !accepts_.empty()) progress_accepts();
+    note_termination();
   }
 
   /// Next forced poll wakeup: netem releases, our own churn transitions,
@@ -1098,18 +842,14 @@ class TcpCluster::Node final : public net::Context {
     };
     if (!held_.empty()) consider(held_.top().release);
     if (recovery_) {
-      if (next_window_ < windows_.size()) {
-        consider(windows_[next_window_].down_us);
-      }
+      consider(next_down());
       for (const Peer& p : peers_) {
         consider(p.redial_at);
         if (p.dial_fd >= 0) consider(p.dial_deadline);
       }
       for (const auto& pa : accepts_) consider(pa.deadline);
     }
-    if (at < 0) return -1;
-    const SimTime ms = (at - now_us()) / 1000 + 1;
-    return static_cast<int>(std::clamp<SimTime>(ms, 0, 60'000));
+    return poll_ms(at);
   }
 
   /// Opportunistic write pass: one gathered writev per peer with pending
@@ -1281,25 +1021,12 @@ class TcpCluster::Node final : public net::Context {
     NodeId idx;  ///< peer id (kPeer/kDial) or accepts_ index (kAccept)
   };
 
-  NodeId self_;
-  Options opts_;
-  const crypto::KeyStore& keys_;
-  std::vector<std::uint16_t> ports_;
   int listen_fd_;
-  Clock::time_point epoch_;
-  std::unique_ptr<net::Protocol> protocol_;
-  /// Recreates this node's protocol instance (recovery mode only) — the
-  /// restart path feeds the fresh instance the snapshot bytes.
-  std::function<std::unique_ptr<net::Protocol>()> rebuild_;
-  Decoder decoder_;
-  net::WakeupFd& done_wake_;
-  net::WakeupFd wake_;
-  Rng rng_;
+  const bool nodelay_;
   Rng jitter_rng_;
-  bool recovery_ = false;
+  const bool recovery_;
   std::vector<Peer> peers_;
   std::priority_queue<HeldFrame, std::vector<HeldFrame>, HeldLater> held_;
-  std::deque<std::pair<std::uint32_t, net::MessagePtr>> local_;
   /// Pooled scratch reused across the node's lifetime (no per-iteration or
   /// per-read allocations in the steady state).
   std::vector<std::uint8_t> rbuf_;
@@ -1307,163 +1034,20 @@ class TcpCluster::Node final : public net::Context {
   std::vector<PollOwner> owners_;
   std::vector<iovec> iov_;
   std::vector<std::uint8_t> stage_;
-  /// This node's own restart schedule (sorted by down_us) and dark state.
-  std::vector<ChurnWindow> windows_;
-  std::size_t next_window_ = 0;
-  bool down_ = false;
-  SimTime up_at_ = 0;
-  SimTime down_since_ = 0;
-  /// Serialized RestartableProtocol state across a dark window.
-  std::vector<std::uint8_t> snapshot_;
-  bool have_snapshot_ = false;
   std::vector<PendingAccept> accepts_;
-  TransportMetrics metrics_;
-  std::string error_;
 };
 
 // ------------------------------------------------------------------ Cluster
 
-TcpCluster::TcpCluster(Options opts)
-    : opts_(opts), keys_(opts.seed, opts.n), ports_(opts.n, 0) {
-  if (opts_.n < 1) throw ConfigError("TcpCluster: n must be >= 1");
-  if (!opts_.churn.empty()) opts_.recovery = true;
-  for (const auto& w : opts_.churn) {
-    if (w.id >= opts_.n) {
-      throw ConfigError("TcpCluster: churn id out of range");
-    }
-    if (w.up_us <= w.down_us) {
-      throw ConfigError("TcpCluster: churn window needs up_us > down_us");
-    }
-  }
+TcpCluster::TcpCluster(const Options& opts)
+    : SocketCluster(opts, "TcpCluster"), nodelay_(opts.nodelay) {}
+
+int TcpCluster::bind_socket(std::uint16_t& port) {
+  return bind_listen_socket(port);
 }
 
-TcpCluster::~TcpCluster() {
-  request_stop();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void TcpCluster::request_stop() {
-  stop_.store(true);
-  for (auto& node : nodes_) node->wake();
-}
-
-void TcpCluster::start(const ProtocolFactory& factory, Decoder decoder) {
-  DELPHI_ASSERT(!started_, "TcpCluster: start() called twice");
-  started_ = true;
-
-  // Open all listen sockets first so every connect() finds a live backlog.
-  std::vector<int> listen_fds(opts_.n, -1);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    listen_fds[i] = make_listen_socket(ports_[i]);
-  }
-  // One shared epoch so every node's shim schedules partition heals and
-  // burst windows against the same t=0.
-  const auto epoch = Clock::now();
-  nodes_.reserve(opts_.n);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    std::function<std::unique_ptr<net::Protocol>()> rebuild;
-    if (opts_.recovery) {
-      // The restart path re-creates the protocol from the same factory and
-      // feeds it the snapshot; configuration is the factory's to re-supply.
-      rebuild = [factory, i] { return factory(i); };
-    }
-    nodes_.push_back(std::make_unique<Node>(
-        i, opts_, keys_, ports_, listen_fds[i], epoch, factory(i),
-        std::move(rebuild), decoder, done_wake_));
-  }
-  threads_.reserve(opts_.n);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    threads_.emplace_back([this, i] { nodes_[i]->run(stop_); });
-  }
-}
-
-bool TcpCluster::wait() {
-  DELPHI_ASSERT(started_, "TcpCluster: wait() before start()");
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(opts_.timeout_ms);
-  // Block on the done wakeup-fd (nodes signal termination transitions and
-  // thread exits) instead of polling flags on a timer.
-  while (true) {
-    bool all_done = true;
-    bool dead_node = false;
-    bool meshing = false;
-    for (const auto& node : nodes_) {
-      if (node->done.load(std::memory_order_acquire)) continue;
-      all_done = false;
-      // An exited-but-unterminated node (mesh failure, protocol exception)
-      // can never become done, so the run's outcome is already a fixed
-      // false — fail fast instead of sleeping out the deadline.
-      if (node->exited.load(std::memory_order_acquire)) {
-        dead_node = true;
-      } else if (!node->meshed.load(std::memory_order_acquire)) {
-        meshing = true;
-      }
-    }
-    // Fail fast only once no live node is still in mesh setup: stopping
-    // one there would leave it unstarted for a reason that is not its own.
-    // A peer that died after dialing left every connection in place, so
-    // the others finish setup at once; one that died mid-setup makes its
-    // peers' setup time out, as it would without the fail-fast.
-    if (all_done || (dead_node && !meshing)) break;
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (remaining.count() <= 0) break;
-    pollfd pfd{done_wake_.fd(), POLLIN, 0};
-    // Clamped so arbitrarily large timeouts can't overflow poll's int arg;
-    // the loop re-checks the deadline after every wakeup anyway.
-    ::poll(&pfd, 1,
-           static_cast<int>(std::min<std::int64_t>(remaining.count(), 60'000)));
-    done_wake_.drain();
-  }
-  request_stop();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  // With threads joined the flags are final: record who never terminated so
-  // timeouts are diagnosable (which nodes, not just "false").
-  unfinished_.clear();
-  failures_.clear();
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i]->done.load(std::memory_order_acquire)) {
-      unfinished_.push_back(i);
-    }
-    if (!nodes_[i]->error().empty()) {
-      failures_.push_back({i, nodes_[i]->error()});
-    }
-  }
-  joined_ = true;
-  // The joined flags are authoritative (a node may have terminated between
-  // the last poll and the join).
-  return unfinished_.empty();
-}
-
-const std::vector<NodeId>& TcpCluster::unfinished() const {
-  DELPHI_ASSERT(joined_, "TcpCluster: unfinished() before wait()");
-  return unfinished_;
-}
-
-const std::vector<NodeFailure>& TcpCluster::failures() const {
-  DELPHI_ASSERT(joined_, "TcpCluster: failures() before wait()");
-  return failures_;
-}
-
-net::Protocol& TcpCluster::protocol(NodeId id) {
-  DELPHI_ASSERT(joined_, "TcpCluster: protocol() before wait()");
-  DELPHI_ASSERT(id < nodes_.size(), "TcpCluster: bad node id");
-  return nodes_[id]->protocol();
-}
-
-const TransportMetrics& TcpCluster::metrics(NodeId id) const {
-  DELPHI_ASSERT(joined_, "TcpCluster: metrics() before wait()");
-  DELPHI_ASSERT(id < nodes_.size(), "TcpCluster: bad node id");
-  return nodes_[id]->metrics();
-}
-
-std::uint16_t TcpCluster::port(NodeId id) const {
-  DELPHI_ASSERT(id < ports_.size(), "TcpCluster: bad node id");
-  return ports_[id];
+std::unique_ptr<ClusterNode> TcpCluster::make_node(NodeArgs args) {
+  return std::make_unique<Node>(args, nodelay_);
 }
 
 }  // namespace delphi::transport

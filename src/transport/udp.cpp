@@ -1,96 +1,30 @@
 #include "transport/udp.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <map>
+#include <optional>
 #include <queue>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
+#include "transport/cluster_node.hpp"
 
 namespace delphi::transport {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// Selective-ack entries advertised per ack record (the cumulative floor
 /// carries the rest; a bounded list keeps acks one small record).
 constexpr std::size_t kAckSackLimit = 256;
-
-[[noreturn]] void sys_fail(const std::string& what) {
-  throw Error(what + ": " + std::strerror(errno));
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    sys_fail("fcntl(O_NONBLOCK)");
-  }
-}
-
-sockaddr_in loopback_addr(std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  return addr;
-}
-
-/// Bind a UDP socket on 127.0.0.1 with an OS-assigned port; non-blocking,
-/// with roomy buffers (a whole burst window may release at one instant).
-int make_udp_socket(std::uint16_t& port_out) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) sys_fail("socket(udp)");
-  sockaddr_in addr = loopback_addr(0);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    sys_fail("bind(udp)");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
-    ::close(fd);
-    sys_fail("getsockname(udp)");
-  }
-  port_out = ntohs(addr.sin_port);
-  const int bufsz = 1 << 20;  // best-effort: drops are recoverable anyway
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bufsz, sizeof(bufsz));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bufsz, sizeof(bufsz));
-  set_nonblocking(fd);
-  return fd;
-}
-
-/// Rebind a restarted node's socket on its original port — the port is the
-/// node's published identity (port_to_peer_ on every peer), so a rejoin
-/// must reclaim it exactly.
-int make_udp_socket_on(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) sys_fail("socket(udp rebind)");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = loopback_addr(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    sys_fail("bind(udp rebind port " + std::to_string(port) + ")");
-  }
-  const int bufsz = 1 << 20;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bufsz, sizeof(bufsz));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bufsz, sizeof(bufsz));
-  set_nonblocking(fd);
-  return fd;
-}
 
 }  // namespace
 
@@ -271,41 +205,24 @@ bool SeqFilter::accept(std::uint32_t seq) {
 
 // --------------------------------------------------------------------- Node
 
-class UdpMesh::Node final : public net::Context {
+class UdpMesh::Node final : public ClusterNode {
  public:
-  Node(NodeId self, const Options& opts, const crypto::KeyStore& keys,
-       const std::vector<std::uint16_t>& ports, int sock_fd,
-       Clock::time_point epoch, std::unique_ptr<net::Protocol> protocol,
-       std::function<std::unique_ptr<net::Protocol>()> rebuild,
-       Decoder decoder, net::WakeupFd& done_wake)
-      : self_(self),
-        opts_(opts),
-        sock_fd_(sock_fd),
-        own_port_(ports[self]),
-        epoch_(epoch),
-        protocol_(std::move(protocol)),
-        rebuild_(std::move(rebuild)),
-        decoder_(std::move(decoder)),
-        done_wake_(done_wake),
-        rng_(opts.seed ^ (0x9e3779b97f4a7c15ULL * (self + 1))),
-        rto_us_(std::max<std::int64_t>(opts.rto_ms, 1) * 1000) {
+  Node(NodeArgs& args, std::int64_t rto_ms, std::size_t max_unacked)
+      : ClusterNode(args),
+        sock_fd_(args.fd),
+        rto_us_(std::max<std::int64_t>(rto_ms, 1) * 1000),
+        max_unacked_(max_unacked) {
+    meshed.store(true, std::memory_order_relaxed);  // no setup phase
     peers_.resize(opts_.n);
-    for (const auto& w : opts_.churn) {
-      if (w.id == self_) windows_.push_back(w);
-    }
-    std::sort(windows_.begin(), windows_.end(),
-              [](const ChurnWindow& a, const ChurnWindow& b) {
-                return a.down_us < b.down_us;
-              });
     for (NodeId j = 0; j < opts_.n; ++j) {
       if (j == self_) continue;
       Peer& p = peers_[j];
-      p.addr = loopback_addr(ports[j]);
-      if (opts_.auth) p.mac.emplace(keys.channel_key(self_, j));
+      p.addr = loopback_addr(ports_[j]);
+      if (opts_.auth) p.mac.emplace(keys_.channel_key(self_, j));
       if (opts_.netem.active()) {
         p.shim = net::netem::LinkShim(opts_.netem, self_, j);
       }
-      port_to_peer_.emplace(ports[j], j);
+      port_to_peer_.emplace(ports_[j], j);
     }
     rbuf_.resize(64 * 1024);
   }
@@ -313,72 +230,6 @@ class UdpMesh::Node final : public net::Context {
   ~Node() override {
     if (sock_fd_ >= 0) ::close(sock_fd_);
   }
-
-  // ---- net::Context -------------------------------------------------------
-  NodeId self() const override { return self_; }
-  std::size_t n() const override { return opts_.n; }
-
-  /// Microseconds since cluster start — the clock the netem shim schedules
-  /// against (partition heal times are cluster-relative, like sim time).
-  SimTime now() const override { return now_us(); }
-
-  void send(NodeId to, std::uint32_t channel, net::MessagePtr msg) override {
-    DELPHI_ASSERT(to < opts_.n, "udp send: bad destination");
-    if (to == self_) {
-      local_.emplace_back(channel, std::move(msg));
-      return;
-    }
-    enqueue_frame(to, encode_frame_body(channel, *msg, opts_.auth));
-  }
-
-  void broadcast(std::uint32_t channel, net::MessagePtr msg) override {
-    // One serialization for all destinations (the TCP data plane's shared
-    // immutable body); per-link seq and tag are attached at enqueue.
-    const SharedFrameBody body = encode_frame_body(channel, *msg, opts_.auth);
-    for (NodeId j = 0; j < opts_.n; ++j) {
-      if (j == self_) {
-        local_.emplace_back(channel, msg);
-      } else {
-        enqueue_frame(j, body);
-      }
-    }
-  }
-
-  void charge_compute(SimTime) override {}  // real cycles are already spent
-  Rng& rng() override { return rng_; }
-
-  // ---- lifecycle ----------------------------------------------------------
-
-  void run(const std::atomic<bool>& stop) {
-    try {
-      protocol_->on_start(*this);
-      drain_local();
-      note_termination();
-      event_loop(stop);
-    } catch (const std::exception& e) {
-      error_ = e.what();
-    }
-    if (have_snapshot_) {
-      // Stopped (or died) while dark: rebuild the protocol from its
-      // snapshot so outputs stay harvestable after the join.
-      try {
-        restore_protocol();
-      } catch (const std::exception& e) {
-        if (error_.empty()) error_ = e.what();
-      }
-    }
-    exited.store(true, std::memory_order_release);
-    done_wake_.signal();
-  }
-
-  void wake() noexcept { wake_.signal(); }
-
-  std::atomic<bool> done{false};
-  std::atomic<bool> exited{false};
-
-  net::Protocol& protocol() { return *protocol_; }
-  const TransportMetrics& metrics() const { return metrics_; }
-  const std::string& error() const { return error_; }
 
  private:
   /// One logically-sent, not-yet-acknowledged frame: the shared body, its
@@ -427,13 +278,7 @@ class UdpMesh::Node final : public net::Context {
     }
   };
 
-  SimTime now_us() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 epoch_)
-        .count();
-  }
-
-  void enqueue_frame(NodeId to, const SharedFrameBody& body) {
+  void enqueue_frame(NodeId to, const SharedFrameBody& body) override {
     Peer& p = peers_[to];
     // Counted at the logical send only (matches sim's framed_size
     // accounting); retransmissions, acks, and the kind/seq header are
@@ -446,12 +291,12 @@ class UdpMesh::Node final : public net::Context {
       throw Error("udp: frame of " + std::to_string(dgram) +
                   " bytes exceeds the one-datagram limit");
     }
-    if (p.unacked.size() >= opts_.max_unacked) {
+    if (p.unacked.size() >= max_unacked_) {
       // Typed, loud, and attributable — never a silent drop. The node dies
       // with this message in NodeFailure / RunReport.node_errors.
       throw ResourceExhausted(
           "udp: unacked map for peer " + std::to_string(to) + " hit the cap (" +
-          std::to_string(opts_.max_unacked) + " frames in flight)");
+          std::to_string(max_unacked_) + " frames in flight)");
     }
     const std::uint32_t seq = p.next_seq++;
     const SimTime at = now_us();
@@ -461,32 +306,6 @@ class UdpMesh::Node final : public net::Context {
     u.at = at;
     p.unacked.emplace(seq, std::move(u));
     p.events.emplace(at, seq);
-  }
-
-  void drain_local() {
-    while (!local_.empty()) {
-      auto [channel, msg] = std::move(local_.front());
-      local_.pop_front();
-      dispatch(self_, channel, *msg);
-    }
-  }
-
-  void dispatch(NodeId from, std::uint32_t channel,
-                const net::MessageBody& body) {
-    try {
-      protocol_->on_message(*this, from, channel, body);
-      ++metrics_.msgs_delivered;
-    } catch (const Error&) {
-      ++metrics_.malformed_dropped;
-    }
-  }
-
-  void note_termination() {
-    if (protocol_ == nullptr) return;  // dark window of a snapshot restart
-    if (!done.load(std::memory_order_relaxed) && protocol_->terminated()) {
-      done.store(true, std::memory_order_release);
-      done_wake_.signal();
-    }
   }
 
   /// Run every due (re)transmission attempt: consult the link shim, park the
@@ -682,134 +501,49 @@ class UdpMesh::Node final : public net::Context {
     return next;
   }
 
-  void event_loop(const std::atomic<bool>& stop) {
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (!windows_.empty()) {
-        churn_tick();
-        if (down_) {
-          park_dark();
-          continue;
-        }
-      }
-      const SimTime now = now_us();
-      process_out(now);
-      flush_wire(now);
+  void poll_once() override {
+    const SimTime now = now_us();
+    process_out(now);
+    flush_wire(now);
 
-      SimTime next = next_event();
-      if (!down_ && next_window_ < windows_.size() &&
-          (next < 0 || windows_[next_window_].down_us < next)) {
-        next = windows_[next_window_].down_us;
-      }
-      int timeout = -1;
-      if (next >= 0) {
-        const SimTime ms = (next - now_us()) / 1000 + 1;
-        timeout = static_cast<int>(std::clamp<SimTime>(ms, 0, 60'000));
-      }
-      pollfd fds[2] = {{wake_.fd(), POLLIN, 0}, {sock_fd_, POLLIN, 0}};
-      if (::poll(fds, 2, timeout) < 0) {
-        if (errno == EINTR) continue;
-        sys_fail("poll(udp)");
-      }
-      if (fds[0].revents != 0) wake_.drain();  // stop re-checked above
-      if (fds[1].revents & (POLLIN | POLLERR)) drain_socket();
-      flush_acks(now_us());
+    SimTime next = next_event();
+    const SimTime down = next_down();
+    if (down >= 0 && (next < 0 || down < next)) next = down;
+    pollfd fds[2] = {{wake_.fd(), POLLIN, 0}, {sock_fd_, POLLIN, 0}};
+    if (::poll(fds, 2, poll_ms(next)) < 0) {
+      if (errno == EINTR) return;
+      sys_fail("poll(udp)");
     }
-  }
-
-  // ---- churn --------------------------------------------------------------
-
-  /// Drive this node's own restart schedule.
-  void churn_tick() {
-    if (!down_ && next_window_ < windows_.size() &&
-        now_us() >= windows_[next_window_].down_us) {
-      go_down(windows_[next_window_].up_us);
-      ++next_window_;
-    }
-    if (down_ && now_us() >= up_at_) come_up();
+    if (fds[0].revents != 0) wake_.drain();  // the caller re-checks stop
+    if (fds[1].revents & (POLLIN | POLLERR)) drain_socket();
+    flush_acks(now_us());
   }
 
   /// Dark: close the socket — datagrams to this node vanish (peers' ARQ
   /// keeps retransmitting) and nothing is sent. The ARQ/SeqFilter state
-  /// lives in this object and survives; a RestartableProtocol is
-  /// serialized and destroyed, proving the snapshot path end to end.
-  void go_down(SimTime up_at) {
-    down_ = true;
-    up_at_ = up_at;
-    down_since_ = now_us();
+  /// lives in this object and survives.
+  void links_down() override {
     if (sock_fd_ >= 0) {
       ::close(sock_fd_);
       sock_fd_ = -1;
     }
-    if (rebuild_) {
-      if (auto* rp =
-              dynamic_cast<net::RestartableProtocol*>(protocol_.get())) {
-        ByteWriter w(256);
-        rp->snapshot(w);
-        snapshot_ = w.take();
-        have_snapshot_ = true;
-        protocol_.reset();
-      }
-    }
   }
 
   /// Rejoin: rebind the SAME port (the node's identity on every peer's
-  /// port_to_peer_ map), restore the protocol, and let the ARQ catch
-  /// everyone up — our due retransmissions flow out, peers' reach the
-  /// fresh socket.
-  void come_up() {
-    down_ = false;
-    metrics_.downtime_us += static_cast<std::uint64_t>(now_us() - down_since_);
-    sock_fd_ = make_udp_socket_on(own_port_);
+  /// port_to_peer_ map) and let the ARQ catch everyone up — our due
+  /// retransmissions flow out, peers' reach the fresh socket.
+  void links_up() override {
+    std::uint16_t port = ports_[self_];
+    sock_fd_ = bind_udp_socket(port);
     ++metrics_.reconnects;
-    if (have_snapshot_) restore_protocol();
-    drain_local();
-    note_termination();
   }
 
-  void restore_protocol() {
-    protocol_ = rebuild_();
-    auto* rp = dynamic_cast<net::RestartableProtocol*>(protocol_.get());
-    DELPHI_ASSERT(rp != nullptr, "udp restart: factory lost snapshot support");
-    ByteReader r(snapshot_);
-    rp->restore(r);
-    snapshot_.clear();
-    have_snapshot_ = false;
-  }
-
-  /// The dark window: nothing to do but wait for the restart clock or the
-  /// cluster stop signal (re-checked by the caller's loop on return).
-  void park_dark() {
-    const SimTime ms = (up_at_ - now_us()) / 1000 + 1;
-    pollfd pf{wake_.fd(), POLLIN, 0};
-    ::poll(&pf, 1, static_cast<int>(std::clamp<SimTime>(ms, 0, 60'000)));
-    if (pf.revents != 0) wake_.drain();
-  }
-
-  NodeId self_;
-  Options opts_;
   int sock_fd_;
-  std::uint16_t own_port_;
-  Clock::time_point epoch_;
-  std::unique_ptr<net::Protocol> protocol_;
-  /// Recreates this node's protocol (churn restarts feed it the snapshot).
-  std::function<std::unique_ptr<net::Protocol>()> rebuild_;
-  Decoder decoder_;
-  net::WakeupFd& done_wake_;
-  net::WakeupFd wake_;
-  Rng rng_;
-  SimTime rto_us_;
-  /// This node's own restart schedule (sorted by down_us) and dark state.
-  std::vector<ChurnWindow> windows_;
-  std::size_t next_window_ = 0;
-  bool down_ = false;
-  SimTime up_at_ = 0;
-  SimTime down_since_ = 0;
-  std::vector<std::uint8_t> snapshot_;
-  bool have_snapshot_ = false;
+  const SimTime rto_us_;
+  const std::size_t max_unacked_;
   std::vector<Peer> peers_;
   std::unordered_map<std::uint16_t, NodeId> port_to_peer_;
   std::priority_queue<WireItem, std::vector<WireItem>, WireLater> wireq_;
-  std::deque<std::pair<std::uint32_t, net::MessagePtr>> local_;
   /// Pooled scratch (no steady-state allocations beyond record buffers):
   /// the one receive buffer, the records split out of it, and one flush's
   /// packed datagrams with their sendmmsg(2) headers.
@@ -819,133 +553,21 @@ class UdpMesh::Node final : public net::Context {
   DatagramPacker packer_;
   std::vector<iovec> iov_;
   std::vector<mmsghdr> mmsg_;
-  TransportMetrics metrics_;
-  std::string error_;
 };
 
 // --------------------------------------------------------------------- Mesh
 
-UdpMesh::UdpMesh(Options opts)
-    : opts_(opts), keys_(opts.seed, opts.n), ports_(opts.n, 0) {
-  if (opts_.n < 1) throw ConfigError("UdpMesh: n must be >= 1");
-  if (opts_.max_unacked < 1) {
-    throw ConfigError("UdpMesh: max_unacked must be >= 1");
-  }
-  for (const auto& w : opts_.churn) {
-    if (w.id >= opts_.n) throw ConfigError("UdpMesh: churn id out of range");
-    if (w.up_us <= w.down_us) {
-      throw ConfigError("UdpMesh: churn window needs up_us > down_us");
-    }
-  }
+UdpMesh::UdpMesh(const Options& opts)
+    : SocketCluster(opts, "UdpMesh"),
+      rto_ms_(opts.rto_ms),
+      max_unacked_(opts.max_unacked) {
+  if (max_unacked_ < 1) throw ConfigError("UdpMesh: max_unacked must be >= 1");
 }
 
-UdpMesh::~UdpMesh() {
-  request_stop();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-}
+int UdpMesh::bind_socket(std::uint16_t& port) { return bind_udp_socket(port); }
 
-void UdpMesh::request_stop() {
-  stop_.store(true);
-  for (auto& node : nodes_) node->wake();
-}
-
-void UdpMesh::start(const ProtocolFactory& factory, Decoder decoder) {
-  DELPHI_ASSERT(!started_, "UdpMesh: start() called twice");
-  started_ = true;
-
-  // Bind every socket before any thread runs: the source port is the node
-  // identity, and a datagram sent to an unbound port would just vanish.
-  std::vector<int> socks(opts_.n, -1);
-  for (NodeId i = 0; i < opts_.n; ++i) socks[i] = make_udp_socket(ports_[i]);
-
-  // One shared epoch so every node's shim schedules partition heals and
-  // burst windows against the same t=0 (like sim time).
-  const auto epoch = Clock::now();
-  nodes_.reserve(opts_.n);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    std::function<std::unique_ptr<net::Protocol>()> rebuild;
-    if (!opts_.churn.empty()) {
-      rebuild = [factory, i] { return factory(i); };
-    }
-    nodes_.push_back(std::make_unique<Node>(i, opts_, keys_, ports_, socks[i],
-                                            epoch, factory(i),
-                                            std::move(rebuild), decoder,
-                                            done_wake_));
-  }
-  threads_.reserve(opts_.n);
-  for (NodeId i = 0; i < opts_.n; ++i) {
-    threads_.emplace_back([this, i] { nodes_[i]->run(stop_); });
-  }
-}
-
-bool UdpMesh::wait() {
-  DELPHI_ASSERT(started_, "UdpMesh: wait() before start()");
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(opts_.timeout_ms);
-  while (true) {
-    bool all_done = true;
-    bool dead_node = false;
-    for (const auto& node : nodes_) {
-      if (node->done.load(std::memory_order_acquire)) continue;
-      all_done = false;
-      if (node->exited.load(std::memory_order_acquire)) dead_node = true;
-    }
-    if (all_done || dead_node) break;
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                              Clock::now());
-    if (remaining.count() <= 0) break;
-    pollfd pfd{done_wake_.fd(), POLLIN, 0};
-    ::poll(&pfd, 1,
-           static_cast<int>(
-               std::min<std::int64_t>(remaining.count(), 60'000)));
-    done_wake_.drain();
-  }
-  request_stop();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  unfinished_.clear();
-  failures_.clear();
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i]->done.load(std::memory_order_acquire)) {
-      unfinished_.push_back(i);
-    }
-    if (!nodes_[i]->error().empty()) {
-      failures_.push_back({i, nodes_[i]->error()});
-    }
-  }
-  joined_ = true;
-  return unfinished_.empty();
-}
-
-const std::vector<NodeId>& UdpMesh::unfinished() const {
-  DELPHI_ASSERT(joined_, "UdpMesh: unfinished() before wait()");
-  return unfinished_;
-}
-
-const std::vector<NodeFailure>& UdpMesh::failures() const {
-  DELPHI_ASSERT(joined_, "UdpMesh: failures() before wait()");
-  return failures_;
-}
-
-net::Protocol& UdpMesh::protocol(NodeId id) {
-  DELPHI_ASSERT(joined_, "UdpMesh: protocol() before wait()");
-  DELPHI_ASSERT(id < nodes_.size(), "UdpMesh: bad node id");
-  return nodes_[id]->protocol();
-}
-
-const TransportMetrics& UdpMesh::metrics(NodeId id) const {
-  DELPHI_ASSERT(joined_, "UdpMesh: metrics() before wait()");
-  DELPHI_ASSERT(id < nodes_.size(), "UdpMesh: bad node id");
-  return nodes_[id]->metrics();
-}
-
-std::uint16_t UdpMesh::port(NodeId id) const {
-  DELPHI_ASSERT(id < ports_.size(), "UdpMesh: bad node id");
-  return ports_[id];
+std::unique_ptr<ClusterNode> UdpMesh::make_node(NodeArgs args) {
+  return std::make_unique<Node>(args, rto_ms_, max_unacked_);
 }
 
 }  // namespace delphi::transport

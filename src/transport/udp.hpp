@@ -1,8 +1,11 @@
 #pragma once
 /// \file udp.hpp
 /// UDP datagram deployment of the protocol state machines — the lossy-network
-/// counterpart of transport/tcp.hpp, sharing its framed wire format,
-/// pairwise-HMAC authentication, and one-thread-per-node poll(2) event loops.
+/// counterpart of transport/tcp.hpp, sharing its framed wire format and
+/// pairwise-HMAC authentication. UdpMesh is the datagram link of the
+/// socket-cluster core (transport/cluster.hpp), which owns the node threads,
+/// wait(), the protocol's Context and the churn clock; this link supplies
+/// one socket per node, packing and sendmmsg(2), the ARQ and the SeqFilter.
 ///
 /// Design (frames packed into MTU-sized datagrams):
 ///   * Each node owns ONE UDP socket bound to 127.0.0.1:<os-assigned>; all
@@ -45,21 +48,12 @@
 /// for tests (fuzz_decode_test feeds them truncated/corrupt datagrams) and
 /// the bench; UdpMesh is the cluster.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <set>
 #include <span>
-#include <thread>
 #include <vector>
 
-#include "crypto/hmac.hpp"
-#include "net/netem.hpp"
-#include "net/protocol.hpp"
-#include "net/wakeup.hpp"
-#include "transport/frame.hpp"
-#include "transport/tcp.hpp"  // Decoder, TransportMetrics
+#include "transport/cluster.hpp"
 
 namespace delphi::transport {
 
@@ -183,23 +177,14 @@ class SeqFilter {
   std::set<std::uint32_t> ahead_;
 };
 
-/// A full-mesh UDP cluster of n nodes, one OS thread each, on 127.0.0.1 —
-/// the same lifecycle and observer API as TcpCluster:
-///
-///   UdpMesh mesh(opts);
-///   mesh.start(factory, decoder);
-///   bool ok = mesh.wait();
-///   auto& p = mesh.protocol(i);
-class UdpMesh {
+/// A full-mesh UDP cluster of n nodes on 127.0.0.1 (see cluster.hpp for the
+/// lifecycle and observer API). Its metrics count logical sends only:
+/// retransmissions and acks are not traffic, and count only in
+/// datagrams_sent. A dead node's failure text may be the typed
+/// ResourceExhausted of an unacked-map overflow.
+class UdpMesh final : public SocketCluster {
  public:
-  struct Options {
-    std::size_t n = 4;
-    /// HMAC-authenticate every datagram (pairwise keys from `seed`).
-    bool auth = true;
-    /// Master secret / per-node RNG / netem schedule seed.
-    std::uint64_t seed = 1;
-    /// wait() gives up after this many milliseconds of wall time.
-    std::int64_t timeout_ms = 30'000;
+  struct Options : ClusterOptions {
     /// Retransmission timeout for unacked frames (loopback RTT is tens of
     /// µs; this only bounds recovery latency after a drop). Retransmission
     /// attempts back off exponentially from this base (doubling per
@@ -212,70 +197,21 @@ class UdpMesh {
     /// enough that honest runs (including churn restarts) stay far below
     /// it; tiny values let tests exercise the exhaustion path.
     std::size_t max_unacked = 65'536;
-    /// Network emulation applied per directed link (inert by default).
-    net::netem::Config netem;
-    /// Churn schedule (wall µs since cluster start): a dark node closes its
-    /// socket (datagrams to it vanish) and rebinds the SAME port at up_us —
-    /// the port is the node's identity, so peers' ARQ retransmissions find
-    /// it again with no handshake. A RestartableProtocol is snapshotted at
-    /// down and restored from bytes at up.
-    std::vector<ChurnWindow> churn;
+    // A churn restart rebinds the SAME port: the port is the node's
+    // identity, so peers' ARQ retransmissions find it again with no
+    // handshake.
   };
 
-  using ProtocolFactory = net::ProtocolFactory;
-
-  explicit UdpMesh(Options opts);
-  ~UdpMesh();
-
-  UdpMesh(const UdpMesh&) = delete;
-  UdpMesh& operator=(const UdpMesh&) = delete;
-
-  /// Bind every node's socket, create protocols, spawn node threads, and
-  /// start every protocol. Call exactly once.
-  void start(const ProtocolFactory& factory, Decoder decoder);
-
-  /// Block until every node's protocol terminated or the timeout expires,
-  /// then stop and join all threads. Returns true iff all terminated.
-  bool wait();
-
-  /// Node ids whose protocols had not terminated when wait() gave up (empty
-  /// iff wait() returned true). Only safe after wait() returned.
-  const std::vector<NodeId>& unfinished() const;
-
-  /// Nodes whose threads died with an error (exception text — e.g. the
-  /// typed ResourceExhausted of an unacked-map overflow), in ascending id
-  /// order. Only safe after wait() returned.
-  const std::vector<NodeFailure>& failures() const;
-
-  /// Node i's protocol. Only safe after wait() returned.
-  net::Protocol& protocol(NodeId id);
-
-  /// Node i's transport counters (logical sends only: retransmissions and
-  /// acks are not traffic, and count only in datagrams_sent). Only safe
-  /// after wait() returned.
-  const TransportMetrics& metrics(NodeId id) const;
-
-  /// Resolved UDP port of node i (set by start()).
-  std::uint16_t port(NodeId id) const;
-
-  const Options& options() const noexcept { return opts_; }
+  explicit UdpMesh(const Options& opts);
 
  private:
   class Node;
 
-  void request_stop();
+  int bind_socket(std::uint16_t& port) override;
+  std::unique_ptr<ClusterNode> make_node(NodeArgs args) override;
 
-  Options opts_;
-  crypto::KeyStore keys_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::thread> threads_;
-  std::vector<std::uint16_t> ports_;
-  std::vector<NodeId> unfinished_;
-  std::vector<NodeFailure> failures_;
-  std::atomic<bool> stop_{false};
-  net::WakeupFd done_wake_;
-  bool started_ = false;
-  bool joined_ = false;
+  std::int64_t rto_ms_;
+  std::size_t max_unacked_;
 };
 
 }  // namespace delphi::transport

@@ -134,10 +134,12 @@ void sleep_ms(int ms) {
 
 TEST(AbruptPeerDeath, TcpSurvivesMalformedAndHalfOpenReconnects) {
   // A recovery-mode cluster whose links are delayed by the netem shim, so
-  // the protocols are still in flight while we attack the listen ports.
+  // the protocols are still in flight while we attack the listen ports. A
+  // churn schedule is what selects the recovery lifecycle; this window
+  // opens long after the run has finished, so no node ever goes dark.
   TcpCluster::Options opts;
   opts.n = 2;
-  opts.recovery = true;
+  opts.churn = {{0, 600'000'000, 600'000'001}};
   opts.timeout_ms = 20'000;
   opts.netem.lag_k = 1;
   opts.netem.lag_us = 600'000;
