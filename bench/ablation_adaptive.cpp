@@ -41,10 +41,8 @@ protocol::DelphiParams params_for(double delta_max) {
   return p;
 }
 
-void run_minute(Tally& t, const protocol::DelphiParams& p, std::size_t n,
-                std::uint64_t seed, double center, double delta) {
-  const auto inputs = clustered_inputs(n, center, delta, seed);
-  const auto r = run_delphi(Testbed::kAws, n, seed, p, inputs);
+void tally_minute(Tally& t, const protocol::DelphiParams& p, std::size_t n,
+                  double center, const scenario::RunReport& r) {
   ++t.minutes;
   if (!r.ok || r.outputs.empty()) {
     ++t.violations;
@@ -105,11 +103,18 @@ int main(int argc, char** argv) {
     mid += rng.uniform(-15.0, 15.0);
     const std::uint64_t seed = 100 + m;
 
-    run_minute(t_tight, tight, n, seed, mid, delta);
-    run_minute(t_safe, safe, n, seed, mid, delta);
     const auto adaptive_params =
         estimator.make_params(0.0, 200'000.0, 2.0, 2.0);
-    run_minute(t_adaptive, adaptive_params, n, seed, mid, delta);
+    const auto inputs = scenario::clustered_inputs(n, mid, delta, seed);
+    const auto spec = [&](const protocol::DelphiParams& p) {
+      return delphi_spec(scenario::TestbedKind::kAws, n, seed, p, inputs);
+    };
+    // The three configs' runs are independent: one sweep per minute.
+    const auto r = scenario::SweepRunner().run(
+        {spec(tight), spec(safe), spec(adaptive_params)});
+    tally_minute(t_tight, tight, n, mid, r[0]);
+    tally_minute(t_safe, safe, n, mid, r[1]);
+    tally_minute(t_adaptive, adaptive_params, n, mid, r[2]);
     estimator.observe(delta);  // the estimator sees δ after the round
   }
 

@@ -7,7 +7,6 @@
 
 #include "bench/bench_util.hpp"
 #include "binaa/protocol.hpp"
-#include "sim/harness.hpp"
 
 using namespace delphi;
 using namespace delphi::bench;
@@ -16,15 +15,15 @@ namespace {
 
 std::uint64_t run_binaa_bytes(std::size_t n, std::uint32_t r_max, bool compact,
                               std::uint64_t seed) {
-  auto cfg = testbed_config(Testbed::kAws, n, seed);
+  auto cfg = scenario::testbed_config(scenario::TestbedKind::kAws, n, seed);
   cfg.fifo_links = compact;  // the delta codec requires FIFO links
   binaa::BinAaProtocol::Config pc;
   pc.core = binaa::BinAaCore::Config{n, max_faults(n), r_max};
   pc.compact = compact;
-  auto out = sim::run_nodes(cfg, [&](NodeId i) {
+  const auto rep = scenario::SimRuntime().run(cfg, [&](NodeId i) {
     return std::make_unique<binaa::BinAaProtocol>(pc, i % 2 == 0);
   });
-  return out.all_honest_terminated ? out.honest_bytes : 0;
+  return rep.ok ? rep.honest_bytes : 0;
 }
 
 }  // namespace

@@ -55,29 +55,39 @@ int main(int argc, char** argv) {
   // Per-pairing µs charges: oracle, cheap x86, t2.micro, Pi-class.
   const std::vector<double> pairing_us = {0.0, 50.0, 250.0, 4000.0};
 
-  for (const Testbed tb : {Testbed::kAws, Testbed::kCps}) {
-    const char* tb_name = tb == Testbed::kAws ? "AWS" : "CPS";
-    const auto params = tb == Testbed::kAws ? aws_params() : cps_params();
-    const double delta = tb == Testbed::kAws ? 20.0 : 5.0;
-    const double center = tb == Testbed::kAws ? 40'000.0 : 1000.0;
-    const auto inputs = clustered_inputs(n, center, delta, 23);
+  using scenario::TestbedKind;
+  for (const TestbedKind tb : {TestbedKind::kAws, TestbedKind::kCps}) {
+    const char* tb_name = tb == TestbedKind::kAws ? "AWS" : "CPS";
+    const auto params = tb == TestbedKind::kAws ? aws_params() : cps_params();
+    const double delta = tb == TestbedKind::kAws ? 20.0 : 5.0;
+    const double center = tb == TestbedKind::kAws ? 40'000.0 : 1000.0;
+    const auto inputs = scenario::clustered_inputs(n, center, delta, 23);
+
+    // One FIN run per pairing charge, then the Delphi reference: one sweep.
+    std::vector<scenario::ScenarioSpec> specs;
+    for (double us : pairing_us) {
+      const auto cost = static_cast<SimTime>(
+          us * (static_cast<double>(n) / 3.0 + 1.0));
+      specs.push_back(fin_spec(tb, n, 31, inputs, cost));
+    }
+    specs.push_back(delphi_spec(tb, n, 37, params, inputs));
+    const auto r = scenario::SweepRunner().run(specs);
 
     std::printf("-- %s testbed, n = %zu --\n", tb_name, n);
     print_row({"testbed", "config", "runtime_ms", "vs free"}, w);
 
     double free_ms = 0.0;
-    for (double us : pairing_us) {
-      const auto cost = static_cast<SimTime>(
-          us * (static_cast<double>(n) / 3.0 + 1.0));
-      const auto f = run_fin(tb, n, 31, inputs, cost);
+    for (std::size_t i = 0; i < pairing_us.size(); ++i) {
+      const double us = pairing_us[i];
+      const auto& f = r[i];
       if (us == 0.0) free_ms = f.runtime_ms;
       print_row({tb_name, "FIN, pairing = " + fmt(us / 1000.0, 2) + " ms",
                  fmt(f.runtime_ms, 0),
                  fmt(f.runtime_ms / free_ms, 2) + "x"},
                 w);
     }
-    const auto d = run_delphi(tb, n, 37, params, inputs);
-    print_row({tb_name, "Delphi (no coin)", fmt(d.runtime_ms, 0), "-"}, w);
+    print_row({tb_name, "Delphi (no coin)", fmt(r.back().runtime_ms, 0), "-"},
+              w);
     std::printf("\n");
   }
 

@@ -32,7 +32,7 @@ struct AbaResult {
 };
 
 AbaResult run_mmr(std::size_t n, std::uint64_t seed, bool split) {
-  auto cfg = testbed_config(Testbed::kCps, n, seed);
+  auto cfg = scenario::testbed_config(scenario::TestbedKind::kCps, n, seed);
   static crypto::CommonCoin coin(0xC01Cu);
   sim::Simulator sim(cfg);
   for (NodeId i = 0; i < n; ++i) {
@@ -40,7 +40,8 @@ AbaResult run_mmr(std::size_t n, std::uint64_t seed, bool split) {
     c.n = n;
     c.t = max_faults(n);
     c.coin = &coin;
-    c.coin_compute_us = default_coin_cost(Testbed::kCps, n);
+    c.coin_compute_us =
+        scenario::default_coin_cost(scenario::TestbedKind::kCps, n);
     c.instance_id = seed;
     sim.add_node(std::make_unique<aba::AbaProtocol>(c, split ? i % 2 == 0
                                                              : true));
@@ -53,7 +54,7 @@ AbaResult run_mmr(std::size_t n, std::uint64_t seed, bool split) {
 }
 
 AbaResult run_benor(std::size_t n, std::uint64_t seed, bool split) {
-  auto cfg = testbed_config(Testbed::kCps, n, seed);
+  auto cfg = scenario::testbed_config(scenario::TestbedKind::kCps, n, seed);
   sim::Simulator sim(cfg);
   benor::BenOrProtocol::Config c;
   c.n = n;

@@ -19,6 +19,7 @@
 
 using namespace delphi;
 using namespace delphi::bench;
+constexpr auto kAws = scenario::TestbedKind::kAws;
 
 namespace {
 
@@ -50,22 +51,21 @@ int main(int argc, char** argv) {
   for (std::size_t t : budgets) {
     const std::size_t n5 = 5 * t + 1;
     const std::size_t n3 = 3 * t + 1;
-    const auto in5 = clustered_inputs(n5, 40'000.0, 20.0, 11 + t);
-    const auto in3 = clustered_inputs(n3, 40'000.0, 20.0, 13 + t);
-
-    const auto d = run_dolev(Testbed::kAws, n5, 1, /*rounds=*/10, 0.0,
-                             200'000.0, in5);
+    const auto in5 = scenario::clustered_inputs(n5, 40'000.0, 20.0, 11 + t);
+    const auto in3 = scenario::clustered_inputs(n3, 40'000.0, 20.0, 13 + t);
+    const auto r = scenario::SweepRunner().run(
+        {dolev_spec(kAws, n5, 1, /*rounds=*/10, 0.0, 200'000.0, in5),
+         abraham_spec(kAws, n3, 2, /*rounds=*/10, 0.0, 200'000.0, in3),
+         delphi_spec(kAws, n3, 3, params, in3)});
+    const auto &d = r[0], &a = r[1], &dp = r[2];
     print_row({std::to_string(t), std::to_string(n5), "Dolev et al.",
-               fmt(d.runtime_ms, 0), fmt(d.megabytes, 3), "[m, M]"},
+               fmt(d.runtime_ms, 0), fmt(d.megabytes(), 3), "[m, M]"},
               w);
-    const auto a = run_abraham(Testbed::kAws, n3, 2, /*rounds=*/10, 0.0,
-                               200'000.0, in3);
     print_row({std::to_string(t), std::to_string(n3), "Abraham et al.",
-               fmt(a.runtime_ms, 0), fmt(a.megabytes, 3), "[m, M]"},
+               fmt(a.runtime_ms, 0), fmt(a.megabytes(), 3), "[m, M]"},
               w);
-    const auto dp = run_delphi(Testbed::kAws, n3, 3, params, in3);
     print_row({std::to_string(t), std::to_string(n3), "Delphi",
-               fmt(dp.runtime_ms, 0), fmt(dp.megabytes, 3), "relaxed"},
+               fmt(dp.runtime_ms, 0), fmt(dp.megabytes(), 3), "relaxed"},
               w);
   }
 
@@ -73,20 +73,20 @@ int main(int argc, char** argv) {
   print_row({"t", "n", "protocol", "runtime_ms", "MB", "validity"}, w);
   {
     const std::size_t n = 16;
-    const auto in = clustered_inputs(n, 40'000.0, 20.0, 17);
-    const auto d = run_dolev(Testbed::kAws, n, 4, /*rounds=*/10, 0.0,
-                             200'000.0, in);
+    const auto in = scenario::clustered_inputs(n, 40'000.0, 20.0, 17);
+    const auto r = scenario::SweepRunner().run(
+        {dolev_spec(kAws, n, 4, /*rounds=*/10, 0.0, 200'000.0, in),
+         abraham_spec(kAws, n, 5, /*rounds=*/10, 0.0, 200'000.0, in),
+         delphi_spec(kAws, n, 6, params, in)});
+    const auto &d = r[0], &a = r[1], &dp = r[2];
     print_row({"3", std::to_string(n), "Dolev et al.", fmt(d.runtime_ms, 0),
-               fmt(d.megabytes, 3), "[m, M]"},
+               fmt(d.megabytes(), 3), "[m, M]"},
               w);
-    const auto a = run_abraham(Testbed::kAws, n, 5, /*rounds=*/10, 0.0,
-                               200'000.0, in);
     print_row({"5", std::to_string(n), "Abraham et al.", fmt(a.runtime_ms, 0),
-               fmt(a.megabytes, 3), "[m, M]"},
+               fmt(a.megabytes(), 3), "[m, M]"},
               w);
-    const auto dp = run_delphi(Testbed::kAws, n, 6, params, in);
     print_row({"5", std::to_string(n), "Delphi", fmt(dp.runtime_ms, 0),
-               fmt(dp.megabytes, 3), "relaxed"},
+               fmt(dp.megabytes(), 3), "relaxed"},
               w);
   }
 

@@ -1,7 +1,8 @@
 #pragma once
-/// Shared infrastructure for the experiment benches: testbed configurations
-/// (AWS-geo / CPS, matching §VI-C), controlled-range workload generators,
-/// one-call protocol runners, and table printing.
+/// Shared infrastructure for the experiment benches: scenario spec builders
+/// for the paper's protocols, the standard fault axis, command-line modes,
+/// and table printing. Runs go through the scenario layer
+/// (scenario::SweepRunner / SimRuntime) and print from its RunReport.
 ///
 /// Every bench binary regenerates one table/figure of the paper; see the
 /// README "Substitutions" section for where this reproduction departs from
@@ -15,69 +16,38 @@
 #include "acs/acs.hpp"
 #include "delphi/delphi.hpp"
 #include "dolev/dolev.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/runtime.hpp"
 #include "scenario/spec.hpp"
-#include "sim/harness.hpp"
+#include "scenario/sweep.hpp"
 
 namespace delphi::bench {
 
-/// Which simulated testbed to run on (§VI-C).
-enum class Testbed { kAws, kCps };
-
-/// Map to the scenario layer's testbed kind (the construction point).
-scenario::TestbedKind to_scenario(Testbed tb) noexcept;
-
-/// Simulation config for a testbed: latency model + cost model.
-sim::SimConfig testbed_config(Testbed tb, std::size_t n, std::uint64_t seed);
-
-/// Default CPU charge per threshold-coin toss, per testbed — the stand-in
-/// for the O(n) pairing bill of a real common coin (README "Substitutions"). Pairings run
-/// ~1 ms on a Pi-class core and ~0.25 ms on t2.micro-class cores; a Cachin
-/// coin verifies a quorum of shares.
-SimTime default_coin_cost(Testbed tb, std::size_t n);
-
-/// Honest inputs clustered with *realized range exactly delta* around
-/// `center` (endpoints pinned, the rest uniform inside) — this is how the
-/// paper's "Delphi delta = 20$ / 180$" curves are driven.
-std::vector<double> clustered_inputs(std::size_t n, double center,
-                                     double delta, std::uint64_t seed);
-
-/// Result of one protocol run.
-struct Result {
-  bool ok = false;
-  double runtime_ms = 0.0;   ///< honest completion time
-  double megabytes = 0.0;    ///< total honest traffic
-  std::uint64_t messages = 0;
-  std::vector<double> outputs;
-};
-
-/// Project a scenario RunReport onto the bench result shape.
-Result from_report(const scenario::RunReport& rep);
-
-/// ScenarioSpec builders mirroring the one-call runners below — use these
-/// to batch independent runs through scenario::SweepRunner (multi-core
-/// sweeps) while producing numbers identical to the serial runners.
-scenario::ScenarioSpec delphi_spec(Testbed tb, std::size_t n,
+/// ScenarioSpec builders for the paper's protocols on a simulated testbed
+/// (§VI-C), with explicit honest inputs. Benches batch the specs through
+/// scenario::SweepRunner, which runs independent specs on all cores and
+/// returns reports in spec order, bit-identical to running them serially.
+scenario::ScenarioSpec delphi_spec(scenario::TestbedKind tb, std::size_t n,
                                    std::uint64_t seed,
                                    const protocol::DelphiParams& params,
                                    const std::vector<double>& inputs);
-scenario::ScenarioSpec abraham_spec(Testbed tb, std::size_t n,
+/// The Abraham et al. baseline.
+scenario::ScenarioSpec abraham_spec(scenario::TestbedKind tb, std::size_t n,
                                     std::uint64_t seed, std::uint32_t rounds,
                                     double space_min, double space_max,
                                     const std::vector<double>& inputs);
-scenario::ScenarioSpec fin_spec(Testbed tb, std::size_t n, std::uint64_t seed,
+/// The FIN-style ACS baseline (coin cost defaulted per testbed; pass
+/// `coin_cost_us >= 0` to override).
+scenario::ScenarioSpec fin_spec(scenario::TestbedKind tb, std::size_t n,
+                                std::uint64_t seed,
                                 const std::vector<double>& inputs,
                                 SimTime coin_cost_us = -1);
-scenario::ScenarioSpec dolev_spec(Testbed tb, std::size_t n,
+/// The Dolev et al. (JACM '86) multicast AA baseline; tolerates
+/// t = (n-1)/5 faults.
+scenario::ScenarioSpec dolev_spec(scenario::TestbedKind tb, std::size_t n,
                                   std::uint64_t seed, std::uint32_t rounds,
                                   double space_min, double space_max,
                                   const std::vector<double>& inputs);
-
-/// Run a batch of specs across `jobs` worker threads (0 = all cores) and
-/// project each report; results are in spec order and bit-identical to
-/// running the specs one by one.
-std::vector<Result> run_specs(const std::vector<scenario::ScenarioSpec>& specs,
-                              unsigned jobs = 0);
 
 /// One labeled point on the standard fault axis.
 struct FaultCase {
@@ -89,31 +59,9 @@ struct FaultCase {
 /// declarative fault family (fault-free first, then crashes at the
 /// protocol's resilience bound t, both byzantine= behaviours, and all four
 /// adversary= strategies, each sized relative to t). Feed the specs straight
-/// into run_specs / SweepRunner — a fault dimension for any protocol × n
+/// into SweepRunner — a fault dimension for any protocol × n
 /// grid (bench_fault_sweep is the canonical consumer).
 std::vector<FaultCase> fault_axis(const scenario::ScenarioSpec& base);
-
-/// Run Delphi on a testbed.
-Result run_delphi(Testbed tb, std::size_t n, std::uint64_t seed,
-                  const protocol::DelphiParams& params,
-                  const std::vector<double>& inputs);
-
-/// Run the Abraham et al. baseline.
-Result run_abraham(Testbed tb, std::size_t n, std::uint64_t seed,
-                   std::uint32_t rounds, double space_min, double space_max,
-                   const std::vector<double>& inputs);
-
-/// Run the FIN-style ACS baseline (coin cost defaulted per testbed; pass
-/// `coin_cost_us >= 0` to override).
-Result run_fin(Testbed tb, std::size_t n, std::uint64_t seed,
-               const std::vector<double>& inputs,
-               SimTime coin_cost_us = -1);
-
-/// Run the Dolev et al. (JACM '86) multicast AA baseline; tolerates
-/// t = (n-1)/5 faults.
-Result run_dolev(Testbed tb, std::size_t n, std::uint64_t seed,
-                 std::uint32_t rounds, double space_min, double space_max,
-                 const std::vector<double>& inputs);
 
 /// --quick on the command line trims sweeps for CI-speed runs.
 bool quick_mode(int argc, char** argv);

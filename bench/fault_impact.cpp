@@ -7,7 +7,7 @@
 ///
 /// Every run is a declarative ScenarioSpec (crashes= / byzantine= /
 /// adversary= are first-class spec fields since the fault plane landed) and
-/// the whole grid executes through bench::run_specs — multi-core, in spec
+/// the whole grid executes as one SweepRunner batch — multi-core, in spec
 /// order, bit-identical to the historical serial loops.
 
 #include <cstdio>
@@ -30,8 +30,7 @@ ScenarioSpec oracle_spec(std::size_t n, std::uint64_t seed,
   p.rho0 = 10.0;
   p.eps = 2.0;
   p.delta_max = 2000.0;
-  auto spec = delphi_spec(Testbed::kAws, n, seed, p, inputs);
-  return spec;
+  return delphi_spec(scenario::TestbedKind::kAws, n, seed, p, inputs);
 }
 
 }  // namespace
@@ -40,7 +39,7 @@ int main(int argc, char** argv) {
   const bool quick = quick_mode(argc, argv);
   const std::size_t n = quick ? 16 : 31;
   const std::size_t t = max_faults(n);
-  const auto inputs = clustered_inputs(n, 40'000.0, 20.0, 41);
+  const auto inputs = scenario::clustered_inputs(n, 40'000.0, 20.0, 41);
 
   print_title("Fault impact — Delphi under realized faults",
               "AWS testbed, n = " + std::to_string(n) + " (t = " +
@@ -68,12 +67,24 @@ int main(int argc, char** argv) {
                            std::to_string(t - t / 2) + " garbage sprayers");
   }
 
+  // The partition of the t-node minority, healed at T.
+  const std::vector<SimTime> heals =
+      quick ? std::vector<SimTime>{0, 2 * kSecond}
+            : std::vector<SimTime>{0, kSecond, 2 * kSecond, 5 * kSecond};
+  std::vector<ScenarioSpec> specs = fault_specs;
+  for (SimTime heal : heals) {
+    auto spec = oracle_spec(n, 51, inputs);
+    spec.adversary = scenario::parse_adversary(
+        "partition:" + std::to_string(t) + ":" + std::to_string(heal));
+    specs.push_back(spec);
+  }
+  const auto reports = scenario::SweepRunner().run(specs);
+
   const std::vector<int> w = {30, 14, 12, 6};
   print_row({"fault mix", "runtime_ms", "MB", "ok"}, w);
-  const auto fault_results = run_specs(fault_specs);
-  for (std::size_t i = 0; i < fault_results.size(); ++i) {
-    const auto& r = fault_results[i];
-    print_row({fault_labels[i], fmt(r.runtime_ms, 0), fmt(r.megabytes, 2),
+  for (std::size_t i = 0; i < fault_specs.size(); ++i) {
+    const auto& r = reports[i];
+    print_row({fault_labels[i], fmt(r.runtime_ms, 0), fmt(r.megabytes(), 2),
                r.ok ? "y" : "N"},
               w);
   }
@@ -81,21 +92,10 @@ int main(int argc, char** argv) {
   std::printf("\npartition of the t-node minority, healed at T "
               "(help-after-decide):\n");
   print_row({"heal time", "completion_ms", "MB", "ok"}, w);
-  const std::vector<SimTime> heals =
-      quick ? std::vector<SimTime>{0, 2 * kSecond}
-            : std::vector<SimTime>{0, kSecond, 2 * kSecond, 5 * kSecond};
-  std::vector<ScenarioSpec> heal_specs;
-  for (SimTime heal : heals) {
-    auto spec = oracle_spec(n, 51, inputs);
-    spec.adversary = scenario::parse_adversary(
-        "partition:" + std::to_string(t) + ":" + std::to_string(heal));
-    heal_specs.push_back(spec);
-  }
-  const auto heal_results = run_specs(heal_specs);
-  for (std::size_t i = 0; i < heal_results.size(); ++i) {
-    const auto& r = heal_results[i];
+  for (std::size_t i = 0; i < heals.size(); ++i) {
+    const auto& r = reports[fault_specs.size() + i];
     print_row({fmt(static_cast<double>(heals[i]) / 1000.0, 0) + " ms",
-               fmt(r.runtime_ms, 0), fmt(r.megabytes, 2), r.ok ? "y" : "N"},
+               fmt(r.runtime_ms, 0), fmt(r.megabytes(), 2), r.ok ? "y" : "N"},
               w);
   }
 

@@ -15,13 +15,14 @@
 
 using namespace delphi;
 using namespace delphi::bench;
+using scenario::TestbedKind;
 
 int main(int argc, char** argv) {
   const bool quick = quick_mode(argc, argv);
   print_title("Fig 6a — runtime vs n on AWS (oracle network)",
               "Delphi config rho0 = 10$, Delta = 2000$, eps = 2$; runtimes in "
-              "milliseconds of simulated time (see EXPERIMENTS.md for the "
-              "testbed model).");
+              "milliseconds of simulated time (see README \"Substitutions\" "
+              "for the testbed model).");
 
   protocol::DelphiParams params;
   params.space_min = 0.0;
@@ -37,27 +38,38 @@ int main(int argc, char** argv) {
   const std::vector<int> w = {8, 22, 14, 12, 12};
   print_row({"n", "protocol", "runtime_ms", "MB", "ok"}, w);
 
+  // Per n: Delphi at delta = 20$ and 180$, FIN, Abraham — independent runs,
+  // so one sweep fans them across all cores.
+  std::vector<scenario::ScenarioSpec> specs;
   for (std::size_t n : sizes) {
-    const auto in20 = clustered_inputs(n, 40'000.0, 20.0, 7 + n);
-    const auto in180 = clustered_inputs(n, 40'000.0, 180.0, 9 + n);
+    const auto in20 = scenario::clustered_inputs(n, 40'000.0, 20.0, 7 + n);
+    const auto in180 = scenario::clustered_inputs(n, 40'000.0, 180.0, 9 + n);
+    specs.push_back(delphi_spec(TestbedKind::kAws, n, 1, params, in20));
+    specs.push_back(delphi_spec(TestbedKind::kAws, n, 2, params, in180));
+    specs.push_back(fin_spec(TestbedKind::kAws, n, 3, in20));
+    specs.push_back(abraham_spec(TestbedKind::kAws, n, 4, /*rounds=*/10, 0.0,
+                                 200'000.0, in20));
+  }
+  const auto results = scenario::SweepRunner().run(specs);
 
-    const auto d20 = run_delphi(Testbed::kAws, n, 1, params, in20);
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const std::size_t n = sizes[i];
+    const auto& d20 = results[4 * i];
+    const auto& d180 = results[4 * i + 1];
+    const auto& f = results[4 * i + 2];
+    const auto& a = results[4 * i + 3];
     print_row({std::to_string(n), "Delphi delta=20$", fmt(d20.runtime_ms, 0),
-               fmt(d20.megabytes, 2), d20.ok ? "y" : "N"},
+               fmt(d20.megabytes(), 2), d20.ok ? "y" : "N"},
               w);
-    const auto d180 = run_delphi(Testbed::kAws, n, 2, params, in180);
     print_row({std::to_string(n), "Delphi delta=180$",
-               fmt(d180.runtime_ms, 0), fmt(d180.megabytes, 2),
+               fmt(d180.runtime_ms, 0), fmt(d180.megabytes(), 2),
                d180.ok ? "y" : "N"},
               w);
-    const auto f = run_fin(Testbed::kAws, n, 3, in20);
     print_row({std::to_string(n), "FIN", fmt(f.runtime_ms, 0),
-               fmt(f.megabytes, 2), f.ok ? "y" : "N"},
+               fmt(f.megabytes(), 2), f.ok ? "y" : "N"},
               w);
-    const auto a = run_abraham(Testbed::kAws, n, 4, /*rounds=*/10, 0.0,
-                               200'000.0, in20);
     print_row({std::to_string(n), "Abraham et al. d=20$",
-               fmt(a.runtime_ms, 0), fmt(a.megabytes, 2), a.ok ? "y" : "N"},
+               fmt(a.runtime_ms, 0), fmt(a.megabytes(), 2), a.ok ? "y" : "N"},
               w);
     std::printf("  speedup at n=%zu: FIN/Delphi = %.2fx, Abraham/Delphi = "
                 "%.2fx\n",

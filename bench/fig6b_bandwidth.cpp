@@ -11,6 +11,7 @@
 
 using namespace delphi;
 using namespace delphi::bench;
+using scenario::TestbedKind;
 
 int main(int argc, char** argv) {
   const bool quick = quick_mode(argc, argv);
@@ -32,26 +33,33 @@ int main(int argc, char** argv) {
   const std::vector<int> w = {8, 14, 16, 14, 18};
   print_row({"n", "Delphi d=20", "Delphi d=180", "FIN", "Abraham d=20"}, w);
 
+  // The baselines' traffic is delta-independent (RBC everything), so one
+  // delta suffices — matching the paper's single FIN curve.
+  std::vector<scenario::ScenarioSpec> specs;
   for (std::size_t n : sizes) {
-    const auto in20 = clustered_inputs(n, 40'000.0, 20.0, 7 + n);
-    const auto in180 = clustered_inputs(n, 40'000.0, 180.0, 9 + n);
-    const auto d20 = run_delphi(Testbed::kAws, n, 1, params, in20);
-    const auto d180 = run_delphi(Testbed::kAws, n, 2, params, in180);
-    // The baselines' traffic is delta-independent (RBC everything), so one
-    // delta suffices — matching the paper's single FIN curve.
-    const auto f = run_fin(Testbed::kAws, n, 3, in20);
-    const auto a = run_abraham(Testbed::kAws, n, 4, /*rounds=*/10, 0.0,
-                               200'000.0, in20);
-    print_row({std::to_string(n), fmt(d20.megabytes, 2),
-               fmt(d180.megabytes, 2), fmt(f.megabytes, 2),
-               fmt(a.megabytes, 2)},
+    const auto in20 = scenario::clustered_inputs(n, 40'000.0, 20.0, 7 + n);
+    const auto in180 = scenario::clustered_inputs(n, 40'000.0, 180.0, 9 + n);
+    specs.push_back(delphi_spec(TestbedKind::kAws, n, 1, params, in20));
+    specs.push_back(delphi_spec(TestbedKind::kAws, n, 2, params, in180));
+    specs.push_back(fin_spec(TestbedKind::kAws, n, 3, in20));
+    specs.push_back(abraham_spec(TestbedKind::kAws, n, 4, /*rounds=*/10, 0.0,
+                                 200'000.0, in20));
+  }
+  const auto results = scenario::SweepRunner().run(specs);
+
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    print_row({std::to_string(sizes[i]), fmt(results[4 * i].megabytes(), 2),
+               fmt(results[4 * i + 1].megabytes(), 2),
+               fmt(results[4 * i + 2].megabytes(), 2),
+               fmt(results[4 * i + 3].megabytes(), 2)},
               w);
   }
   std::printf(
       "\npaper shape: Delphi grows ~n^2 vs the baselines' ~n^3 and falls "
       "increasingly below Abraham with n. Note: absolute Delphi bytes here "
       "are ~20x the paper's because bundles use plain per-entry coding "
-      "rather than the authors' grouped 3-bit VAL codes — see EXPERIMENTS.md "
-      "(Fig 6b) and ablation_codec for the compressed-codec accounting.\n");
+      "rather than the authors' grouped 3-bit VAL codes — see README "
+      "\"Substitutions\" and ablation_codec for the compressed-codec "
+      "accounting.\n");
   return 0;
 }

@@ -9,8 +9,9 @@
 ///
 /// Runtime note: the full CPS grid reaches the paper's extreme corner
 /// (Delta/eps = 1e5, delta/rho0 = 1e3 at n = 85 -> r_M = 40 rounds and
-/// hundreds of active checkpoints), which takes tens of minutes of wall
-/// clock; pass --quick for a 2x2 grid that finishes in seconds.
+/// hundreds of active checkpoints), which takes minutes of wall clock
+/// (~2.5 min on 4 cores, each map's cells running in parallel); pass
+/// --quick for a 2x2 grid that finishes in seconds.
 
 #include <cstdio>
 
@@ -21,9 +22,12 @@ using namespace delphi::bench;
 
 namespace {
 
-/// One heatmap cell: runtime of Delphi with Delta/eps = ar, delta/rho0 = rr.
-double cell_ms(Testbed tb, std::size_t n, double delta_max, double agreement,
-               double range_ratio, std::uint64_t seed) {
+using scenario::TestbedKind;
+
+/// One heatmap cell: Delphi with Delta/eps = ar, delta/rho0 = rr.
+scenario::ScenarioSpec cell_spec(TestbedKind tb, std::size_t n,
+                                 double delta_max, double agreement,
+                                 double range_ratio, std::uint64_t seed) {
   protocol::DelphiParams p;
   p.delta_max = delta_max;
   p.eps = delta_max / agreement;
@@ -33,23 +37,31 @@ double cell_ms(Testbed tb, std::size_t n, double delta_max, double agreement,
   p.space_min = 0.0;
   p.space_max = 64.0 * delta_max;
   const auto inputs =
-      clustered_inputs(n, 8.0 * delta_max, realized_delta, seed);
-  const auto r = run_delphi(tb, n, seed, p, inputs);
-  return r.ok ? r.runtime_ms : -1.0;
+      scenario::clustered_inputs(n, 8.0 * delta_max, realized_delta, seed);
+  return delphi_spec(tb, n, seed, p, inputs);
 }
 
-void heatmap(Testbed tb, std::size_t n, double delta_max,
+void heatmap(TestbedKind tb, std::size_t n, double delta_max,
              const std::vector<double>& agreement_ratios,
              const std::vector<double>& range_ratios) {
+  // Every cell is an independent run: one sweep computes the whole map.
+  std::vector<scenario::ScenarioSpec> specs;
+  for (double ar : agreement_ratios) {
+    for (double rr : range_ratios) {
+      specs.push_back(cell_spec(tb, n, delta_max, ar, rr, 17));
+    }
+  }
+  const auto reports = scenario::SweepRunner().run(specs);
+  auto r = reports.begin();
   std::printf("%s, n = %zu (runtime in seconds)\n",
-              tb == Testbed::kAws ? "AWS" : "CPS", n);
+              tb == TestbedKind::kAws ? "AWS" : "CPS", n);
   std::printf("%14s", "A-ratio \\ R-ratio");
   for (double rr : range_ratios) std::printf("%10.0f", rr);
   std::printf("\n");
   for (double ar : agreement_ratios) {
     std::printf("%14.0f    ", ar);
-    for (double rr : range_ratios) {
-      const double ms = cell_ms(tb, n, delta_max, ar, rr, 17);
+    for (std::size_t c = 0; c < range_ratios.size(); ++c, ++r) {
+      const double ms = r->ok ? r->runtime_ms : -1.0;
       std::printf("%10.2f", ms / 1000.0);
     }
     std::printf("\n");
@@ -66,13 +78,14 @@ int main(int argc, char** argv) {
               "delta/rho0 controls per-round volume.");
 
   if (quick) {
-    heatmap(Testbed::kAws, 16, 500.0, {20, 400}, {1, 20});
-    heatmap(Testbed::kCps, 16, 500.0, {100, 10'000}, {1, 100});
+    heatmap(TestbedKind::kAws, 16, 500.0, {20, 400}, {1, 20});
+    heatmap(TestbedKind::kCps, 16, 500.0, {100, 10'000}, {1, 100});
   } else {
     // Paper grids: AWS n = 64, ratios {20..2000} x {1..90};
     //              CPS n = 85, ratios {1e2..1e5} x {1..1e3}.
-    heatmap(Testbed::kAws, 64, 2000.0, {20, 100, 400, 2000}, {1, 4, 20, 90});
-    heatmap(Testbed::kCps, 85, 500.0, {100, 1'000, 10'000, 100'000},
+    heatmap(TestbedKind::kAws, 64, 2000.0, {20, 100, 400, 2000},
+            {1, 4, 20, 90});
+    heatmap(TestbedKind::kCps, 85, 500.0, {100, 1'000, 10'000, 100'000},
             {1, 10, 100, 1'000});
   }
   std::printf(

@@ -13,6 +13,7 @@
 
 using namespace delphi;
 using namespace delphi::bench;
+constexpr auto kAws = scenario::TestbedKind::kAws;
 
 int main(int argc, char** argv) {
   const bool quick = quick_mode(argc, argv);
@@ -43,25 +44,26 @@ int main(int argc, char** argv) {
   std::vector<Point> points;
 
   for (std::size_t n : sizes) {
-    const auto inputs = clustered_inputs(n, 40'000.0, 8.0, 42 + n);
-    const auto d = run_delphi(Testbed::kAws, n, 1, params, inputs);
-    const auto a = run_abraham(Testbed::kAws, n, 2, 10, 0.0, 200'000.0,
-                               inputs);
-    const auto f = run_fin(Testbed::kAws, n, 3, inputs);
+    const auto inputs = scenario::clustered_inputs(n, 40'000.0, 8.0, 42 + n);
+    const auto r = scenario::SweepRunner().run(
+        {delphi_spec(kAws, n, 1, params, inputs),
+         abraham_spec(kAws, n, 2, 10, 0.0, 200'000.0, inputs),
+         fin_spec(kAws, n, 3, inputs)});
     const double n2 = static_cast<double>(n) * n;
     const double n3 = n2 * n;
-    const auto row = [&](const char* name, const Result& r) {
-      const double bits = r.megabytes * 8e6;
+    const auto row = [&](const char* name, const scenario::RunReport& rep) {
+      const double bits = rep.megabytes() * 8e6;
       print_row({std::to_string(n), name, fmt(bits, 0),
-                 fmt_int(r.messages), fmt(bits / n2, 0), fmt(bits / n3, 1)},
+                 fmt_int(rep.honest_msgs), fmt(bits / n2, 0),
+                 fmt(bits / n3, 1)},
                 w);
-      if (!r.ok) std::printf("  !! run did not terminate\n");
+      if (!rep.ok) std::printf("  !! run did not terminate\n");
       return bits;
     };
     Point p{n, 0, 0, 0};
-    p.delphi_bits = row("Delphi", d);
-    p.abraham_bits = row("Abraham et al.", a);
-    p.fin_bits = row("FIN (ACS)", f);
+    p.delphi_bits = row("Delphi", r[0]);
+    p.abraham_bits = row("Abraham et al.", r[1]);
+    p.fin_bits = row("FIN (ACS)", r[2]);
     points.push_back(p);
   }
 

@@ -14,7 +14,6 @@
 #include "oracle/dora.hpp"
 #include "oracle/dora_baseline.hpp"
 #include "oracle/feed.hpp"
-#include "sim/harness.hpp"
 
 using namespace delphi;
 using namespace delphi::bench;
@@ -46,7 +45,7 @@ int main(int argc, char** argv) {
     std::vector<double> inputs(n);
     for (auto& v : inputs) v = oracle::node_observation(snapshot, 3, obs_rng);
 
-    auto sim_cfg = testbed_config(Testbed::kAws, n, 9);
+    auto sim_cfg = scenario::testbed_config(scenario::TestbedKind::kAws, n, 9);
     sim::Simulator sim(sim_cfg);
     for (NodeId i = 0; i < n; ++i) {
       sim.add_node(std::make_unique<oracle::DoraProtocol>(cfg, inputs[i]));
@@ -84,7 +83,8 @@ int main(int argc, char** argv) {
       bcfg.n = n;
       bcfg.t = max_faults(n);
       bcfg.attestor = &attestor;
-      auto net = testbed_config(Testbed::kAws, n + 1, 10);
+      auto net =
+          scenario::testbed_config(scenario::TestbedKind::kAws, n + 1, 10);
       sim::Simulator bsim(net);
       for (NodeId i = 0; i < n; ++i) {
         bsim.add_node(

@@ -16,6 +16,7 @@
 
 using namespace delphi;
 using namespace delphi::bench;
+using scenario::TestbedKind;
 
 namespace {
 
@@ -50,8 +51,10 @@ int main(int argc, char** argv) {
       for (auto& v : inputs) v = oracle::node_observation(snapshot, 3, obs);
       const auto s = stats::summarize(inputs);
 
-      const auto d = run_delphi(Testbed::kAws, n, 300 + trial, params, inputs);
-      const auto f = run_fin(Testbed::kAws, n, 400 + trial, inputs);
+      const auto r = scenario::SweepRunner().run(
+          {delphi_spec(TestbedKind::kAws, n, 300 + trial, params, inputs),
+           fin_spec(TestbedKind::kAws, n, 400 + trial, inputs)});
+      const auto &d = r[0], &f = r[1];
       if (!d.ok || !f.ok) continue;
       acc.delphi_dist += std::fabs(d.outputs.front() - s.mean);
       acc.exact_dist += std::fabs(f.outputs.front() - s.mean);
@@ -83,8 +86,10 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < n; ++i) inputs[i] = obs[i].x;
       const auto s = stats::summarize(inputs);
 
-      const auto d = run_delphi(Testbed::kCps, n, 600 + trial, params, inputs);
-      const auto f = run_fin(Testbed::kCps, n, 700 + trial, inputs);
+      const auto r = scenario::SweepRunner().run(
+          {delphi_spec(TestbedKind::kCps, n, 600 + trial, params, inputs),
+           fin_spec(TestbedKind::kCps, n, 700 + trial, inputs)});
+      const auto &d = r[0], &f = r[1];
       if (!d.ok || !f.ok) continue;
       acc.delphi_dist += std::fabs(d.outputs.front() - s.mean);
       acc.exact_dist += std::fabs(f.outputs.front() - s.mean);

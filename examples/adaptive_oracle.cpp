@@ -14,7 +14,7 @@
 
 #include "adaptive/range_estimator.hpp"
 #include "delphi/delphi.hpp"
-#include "sim/harness.hpp"
+#include "scenario/runtime.hpp"
 #include "stats/distributions.hpp"
 
 using namespace delphi;
@@ -52,6 +52,7 @@ int main() {
 
   Rng rng(2024);
   double mid = 40000.0;
+  bool all_ok = true;
   std::printf(
       "minute  regime    delta_obs   Delta_est  family   levels  output\n");
 
@@ -73,7 +74,7 @@ int main() {
     sim::SimConfig net;
     net.n = n;
     net.seed = 7000 + static_cast<std::uint64_t>(minute);
-    auto outcome = sim::run_nodes(net, [&](NodeId i) {
+    const auto report = scenario::SimRuntime().run(net, [&](NodeId i) {
       protocol::DelphiProtocol::Config cfg;
       cfg.n = n;
       cfg.t = t;
@@ -87,8 +88,8 @@ int main() {
                 regime_name, delta, estimator.delta_bound(),
                 estimator.fitted_family().value_or("-").c_str(),
                 params.num_levels(),
-                outcome.honest_outputs.empty() ? -1.0
-                                               : outcome.honest_outputs[0]);
+                report.outputs.empty() ? -1.0 : report.outputs[0]);
+    all_ok &= report.ok;
   }
 
   std::printf(
@@ -97,5 +98,5 @@ int main() {
       "rounds), larger under stress (the delta <= Delta assumption stays\n"
       "safe). A static Delta would either waste rounds in calm regimes or\n"
       "break termination guarantees in stressed ones.\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -22,13 +22,19 @@ using namespace delphi;
 
 namespace {
 
-void report(const char* name, const scenario::RunReport& rep,
+/// Print one contender's row; false if the run did not terminate.
+bool report(const char* name, const scenario::RunReport& rep,
             const char* validity) {
+  if (!rep.ok || rep.outputs.empty()) {
+    std::printf("%-16s did not terminate\n", name);
+    return false;
+  }
   const auto [mn, mx] =
       std::minmax_element(rep.outputs.begin(), rep.outputs.end());
   std::printf("%-16s out=[%.2f, %.2f]$  spread=%.3f$  %6.2f MB  %6.0f ms  %s\n",
               name, *mn, *mx, *mx - *mn, rep.megabytes(), rep.runtime_ms,
               validity);
+  return true;
 }
 
 }  // namespace
@@ -82,14 +88,14 @@ int main() {
   const auto reports =
       scenario::SweepRunner().run({delphi_spec, fin_spec, abraham_spec});
 
-  report("Delphi", reports[0],
-         "validity [m-d, M+d], eps-agreement, no crypto");
-  report("FIN (ACS)", reports[1],
-         "validity [m, M], exact agreement, threshold coin");
-  report("Abraham et al.", reports[2],
-         "validity [m, M], eps-agreement, O(n^3)/round");
+  bool ok = report("Delphi", reports[0],
+                   "validity [m-d, M+d], eps-agreement, no crypto");
+  ok &= report("FIN (ACS)", reports[1],
+               "validity [m, M], exact agreement, threshold coin");
+  ok &= report("Abraham et al.", reports[2],
+               "validity [m, M], eps-agreement, O(n^3)/round");
 
   std::printf("\nSee bench/ for the full Table I / Fig 6 sweeps, and "
               "SCENARIOS.md for running any of these from delphi_cli.\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -11,8 +11,8 @@
 #include <cstdio>
 
 #include "drone/localize.hpp"
-#include "sim/harness.hpp"
 #include "sim/latency.hpp"
+#include "sim/simulator.hpp"
 
 using namespace delphi;
 

@@ -15,8 +15,8 @@
 #include "oracle/dora.hpp"
 #include "oracle/feed.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "sim/latency.hpp"
+#include "sim/simulator.hpp"
 
 using namespace delphi;
 

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "delphi/delphi.hpp"
-#include "sim/harness.hpp"
+#include "scenario/runtime.hpp"
 
 using namespace delphi;
 
@@ -40,7 +40,7 @@ int main() {
   const double readings[n] = {99.2, 100.1, 100.4, 100.8, 99.9, 101.5, 100.0};
 
   // 4. Run.
-  auto outcome = sim::run_nodes(net, [&](NodeId i) {
+  const auto report = scenario::SimRuntime().run(net, [&](NodeId i) {
     protocol::DelphiProtocol::Config cfg;
     cfg.n = n;
     cfg.t = t;
@@ -48,16 +48,16 @@ int main() {
     return std::make_unique<protocol::DelphiProtocol>(cfg, readings[i]);
   });
 
-  std::printf("terminated: %s\n", outcome.all_honest_terminated ? "yes" : "no");
+  std::printf("terminated: %s\n", report.ok ? "yes" : "no");
   std::printf("outputs:   ");
-  for (double v : outcome.honest_outputs) std::printf(" %.3f", v);
+  for (double v : report.outputs) std::printf(" %.3f", v);
   std::printf("\n");
   std::printf("traffic:    %.1f KB in %llu messages, %.0f ms simulated\n",
-              outcome.honest_bytes / 1e3,
-              static_cast<unsigned long long>(outcome.honest_msgs),
-              outcome.metrics.honest_completion / 1000.0);
+              report.honest_bytes / 1e3,
+              static_cast<unsigned long long>(report.honest_msgs),
+              report.runtime_ms);
 
   // Every output is within eps of every other and inside the relaxed hull
   // [min - max(rho0, delta), max + max(rho0, delta)] of the readings.
-  return outcome.all_honest_terminated ? 0 : 1;
+  return report.ok ? 0 : 1;
 }

@@ -46,12 +46,6 @@ bool binary_input(const ScenarioSpec& spec, const std::vector<double>& inputs,
   return inputs[i] >= spec.center;
 }
 
-void harvest_value_output(const net::Protocol& p, std::vector<double>& out) {
-  if (const auto* vo = dynamic_cast<const net::ValueOutput*>(&p)) {
-    if (const auto v = vo->output_value()) out.push_back(*v);
-  }
-}
-
 ProtocolInfo make_delphi_info() {
   ProtocolInfo info;
   info.make_factory = [](const ScenarioSpec& spec,
@@ -329,6 +323,12 @@ void register_builtins(ProtocolRegistry& reg) {
 }
 
 }  // namespace
+
+void harvest_value_output(const net::Protocol& p, std::vector<double>& out) {
+  if (const auto* vo = dynamic_cast<const net::ValueOutput*>(&p)) {
+    if (const auto v = vo->output_value()) out.push_back(*v);
+  }
+}
 
 ProtocolRegistry& ProtocolRegistry::global() {
   static ProtocolRegistry* reg = [] {

@@ -32,6 +32,9 @@ namespace delphi::scenario {
 using OutputHarvester =
     std::function<void(const net::Protocol&, std::vector<double>&)>;
 
+/// The default harvester: a net::ValueOutput node's decided value, if any.
+void harvest_value_output(const net::Protocol& p, std::vector<double>& out);
+
 /// One registered protocol suite.
 struct ProtocolInfo {
   /// Build the per-node factory. `spec.t` is already resolved (never

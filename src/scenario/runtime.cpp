@@ -34,21 +34,13 @@ ScenarioSpec resolve(const ScenarioSpec& spec, const ProtocolRegistry& reg,
 /// (the fault model of the paper's crash experiments and delphi_cli
 /// --crashes).
 std::set<NodeId> crash_set(const ScenarioSpec& spec) {
-  std::set<NodeId> ids;
-  for (std::size_t i = 0; i < spec.crashes; ++i) {
-    ids.insert(static_cast<NodeId>(spec.n - 1 - i));
-  }
-  return ids;
+  return top_ids(spec.n, spec.crashes);
 }
 
 /// Byzantine-behaviour placement: the `byzantine.k` ids directly below the
 /// crash block, so `crashes=1 byzantine=garbage:64:2` faults the top three.
 std::set<NodeId> byzantine_set(const ScenarioSpec& spec) {
-  std::set<NodeId> ids;
-  for (std::size_t i = 0; i < spec.byzantine.k; ++i) {
-    ids.insert(static_cast<NodeId>(spec.n - 1 - spec.crashes - i));
-  }
-  return ids;
+  return top_ids(spec.n - spec.crashes, spec.byzantine.k);
 }
 
 /// Wrap the suite factory so faulted placements get their declared
@@ -131,19 +123,19 @@ transport::Decoder make_node_decoder(const ProtocolInfo& info,
   };
 }
 
-/// Harvest one honest node's outputs: per instance through the mux (every
-/// feed reports, in sid order — never-opened sessions of an unfinished
-/// sequential chain contribute nothing), directly otherwise.
-void harvest_node(const ProtocolInfo& info, const net::Protocol& node,
-                  std::size_t instances, std::vector<double>& out) {
-  if (instances <= 1) {
-    info.harvest(node, out);
-    return;
-  }
-  const auto& mux = dynamic_cast<const net::SessionMux&>(node);
-  for (std::uint32_t sid = 0; sid < instances; ++sid) {
-    if (const auto* s = mux.session(sid)) info.harvest(*s, out);
-  }
+/// The harvester for one honest node's outputs: per instance through the mux
+/// (every feed reports, in sid order — never-opened sessions of an
+/// unfinished sequential chain contribute nothing), directly otherwise.
+OutputHarvester node_harvester(const ProtocolInfo& info,
+                               std::size_t instances) {
+  if (instances <= 1) return info.harvest;
+  return [&info, instances](const net::Protocol& node,
+                            std::vector<double>& out) {
+    const auto& mux = dynamic_cast<const net::SessionMux&>(node);
+    for (std::uint32_t sid = 0; sid < instances; ++sid) {
+      if (const auto* s = mux.session(sid)) info.harvest(*s, out);
+    }
+  };
 }
 
 /// Churn placement for one spec entry: the first k honest ids (0..k-1) when
@@ -304,6 +296,7 @@ RunReport run_cluster(const ProtocolInfo& info, const ScenarioSpec& rs,
   const auto factory = with_faults(make_node_factory(info, rs), crashed,
                                    byzantine_set(rs), rs.byzantine);
 
+  const auto harvest = node_harvester(info, rs.instances);
   const auto start = std::chrono::steady_clock::now();
   cluster.start(factory, make_node_decoder(info, rs));
 
@@ -324,7 +317,7 @@ RunReport run_cluster(const ProtocolInfo& info, const ScenarioSpec& rs,
     if (!faulted.contains(i)) {
       rep.honest_bytes += m.bytes_sent;
       rep.honest_msgs += m.msgs_sent;
-      harvest_node(info, cluster.protocol(i), rs.instances, rep.outputs);
+      harvest(cluster.protocol(i), rep.outputs);
     }
   }
   // wait() reports faulted nodes as done (SilentProtocol and the Byzantine
@@ -364,6 +357,12 @@ sim::SimConfig testbed_config(TestbedKind tb, std::size_t n,
   return cfg;
 }
 
+std::set<NodeId> top_ids(std::size_t n, std::size_t k) {
+  std::set<NodeId> ids;
+  for (std::size_t i = n - k; i < n; ++i) ids.insert(static_cast<NodeId>(i));
+  return ids;
+}
+
 RunReport SimRuntime::run(const ScenarioSpec& spec) {
   const auto& reg = registry_ != nullptr ? *registry_ : ProtocolRegistry::global();
   const auto& info = reg.require(spec.protocol);
@@ -386,13 +385,25 @@ RunReport SimRuntime::run(const ScenarioSpec& spec) {
   // outputs, and termination accounting.
   auto faulted = crashed;
   faulted.merge(byzantine_set(rs));
-  // The factory may own shared deployment state (coins, keys); it must
-  // outlive the simulator, so it is declared first.
   const auto factory = with_faults(make_node_factory(info, rs), crashed,
                                    byzantine_set(rs), rs.byzantine);
+  return run_sim(cfg, factory, faulted, node_harvester(info, rs.instances));
+}
 
+RunReport SimRuntime::run(const sim::SimConfig& cfg,
+                          const net::ProtocolFactory& factory,
+                          const std::set<NodeId>& byzantine) {
+  return run_sim(cfg, factory, byzantine, harvest_value_output);
+}
+
+RunReport SimRuntime::run_sim(const sim::SimConfig& cfg,
+                              const net::ProtocolFactory& factory,
+                              const std::set<NodeId>& faulted,
+                              const OutputHarvester& harvest) {
+  // The factory may own shared deployment state (coins, keys); the caller
+  // keeps it alive past the simulator, which is destroyed here.
   sim::Simulator sim(cfg);
-  for (NodeId i = 0; i < rs.n; ++i) sim.add_node(factory(i));
+  for (NodeId i = 0; i < cfg.n; ++i) sim.add_node(factory(i));
   sim.set_byzantine(faulted);
 
   RunReport rep;
@@ -402,8 +413,8 @@ RunReport SimRuntime::run(const ScenarioSpec& spec) {
   const auto traffic = sim.traffic_totals();
   rep.honest_bytes = traffic.honest_bytes;
   rep.honest_msgs = traffic.honest_msgs;
-  rep.nodes.resize(rs.n);
-  for (NodeId i = 0; i < rs.n; ++i) {
+  rep.nodes.resize(cfg.n);
+  for (NodeId i = 0; i < cfg.n; ++i) {
     const auto& m = sim.node_metrics(i);
     rep.nodes[i] = {m.msgs_sent, m.bytes_sent, m.msgs_delivered,
                     m.malformed_dropped, m.terminated_at};
@@ -414,7 +425,7 @@ RunReport SimRuntime::run(const ScenarioSpec& spec) {
     rep.nodes[i].catchup_bytes = m.deferred_bytes;
     if (!faulted.contains(i)) {
       if (m.terminated_at < 0) rep.unfinished.push_back(i);
-      harvest_node(info, sim.node(i), rs.instances, rep.outputs);
+      harvest(sim.node(i), rep.outputs);
     }
   }
   for (const auto& w : cfg.churn) {

@@ -8,9 +8,10 @@
 /// full-mesh socket clusters on localhost (stream and datagram transports
 /// respectively, both optionally shaped by the in-process netem shim). All
 /// substrates run the identical protocol state machines (net::Protocol)
-/// built by the ProtocolRegistry, and all report through the same RunReport
-/// — the merge of the historical sim::RunOutcome, bench::Result, and
-/// transport::TransportMetrics mini-APIs.
+/// built by the ProtocolRegistry, and all report through the same RunReport.
+/// SimRuntime is the one driver of sim::Simulator runs: besides specs, it
+/// runs hand-built node sets (a SimConfig plus a factory), which is how tests
+/// and examples exercise protocols the registry does not describe.
 ///
 /// Multi-instance runs: when spec.instances > 1, every runtime wraps each
 /// node's protocol in a net::SessionMux (2^16-channel windows, concurrent or
@@ -18,15 +19,15 @@
 /// and harvests every instance's outputs into the report.
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
 #include "sim/simulator.hpp"
 
 namespace delphi::scenario {
-
-class ProtocolRegistry;
 
 /// Per-node counters, unified across substrates (sim::NodeMetrics and
 /// transport::TransportMetrics report the same four quantities).
@@ -123,7 +124,19 @@ class SimRuntime final : public Runtime {
       : registry_(registry) {}
   RunReport run(const ScenarioSpec& spec) override;
 
+  /// Run node i = factory(i) for every i < cfg.n on a simulator built from
+  /// `cfg`. The `byzantine` ids are excluded from honest traffic, outputs
+  /// and termination; outputs are harvested from net::ValueOutput nodes.
+  RunReport run(const sim::SimConfig& cfg, const net::ProtocolFactory& factory,
+                const std::set<NodeId>& byzantine = {});
+
  private:
+  /// The one simulator run body both overloads share.
+  static RunReport run_sim(const sim::SimConfig& cfg,
+                           const net::ProtocolFactory& factory,
+                           const std::set<NodeId>& faulted,
+                           const OutputHarvester& harvest);
+
   const ProtocolRegistry* registry_;
 };
 
@@ -163,6 +176,11 @@ class UdpRuntime final : public Runtime {
 
 /// Run on the substrate the spec names.
 RunReport run_scenario(const ScenarioSpec& spec);
+
+/// The top k node ids {n-k, ..., n-1}: where crashes= places its faults, and
+/// the default Byzantine placement of hand-built runs. (Protocol logic is
+/// id-agnostic; tests also exercise other placements.)
+std::set<NodeId> top_ids(std::size_t n, std::size_t k);
 
 /// Simulation config for a testbed kind — the single construction point for
 /// the §VI-C testbeds (formerly duplicated between bench_util and tests).

@@ -144,7 +144,7 @@ struct SimMetrics {
 };
 
 /// Traffic totals split honest/Byzantine, aggregated in one post-run pass —
-/// the batched path harnesses and benches use instead of per-node loops.
+/// the batched path scenario::SimRuntime uses instead of per-node loops.
 struct TrafficTotals {
   std::uint64_t honest_msgs = 0;
   std::uint64_t honest_bytes = 0;

@@ -112,7 +112,7 @@ struct NodeArgs;
 class SocketCluster {
  public:
   /// Shared factory alias from net/protocol.hpp (same type the simulator
-  /// harness and scenario runtimes consume).
+  /// and the scenario runtimes consume).
   using ProtocolFactory = net::ProtocolFactory;
 
   virtual ~SocketCluster();

@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "aba/aba.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::aba {
@@ -87,7 +87,7 @@ TEST(Aba, ToleratesCrashFaults) {
     const std::size_t n = 7;
     const std::size_t t = max_faults(n);
     crypto::CommonCoin coin(seed);
-    const auto byz = sim::last_t_byzantine(n, t);
+    const auto byz = scenario::top_ids(n, t);
     sim::Simulator sim(test::adversarial_config(n, seed));
     for (NodeId i = 0; i < n; ++i) {
       if (byz.contains(i)) {

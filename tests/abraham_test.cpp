@@ -8,8 +8,8 @@
 #include <cmath>
 
 #include "abraham/abraham.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::abraham {
@@ -41,23 +41,23 @@ TEST_P(AbrahamSweep, AgreementAndStrictConvexValidity) {
   Rng rng(seed);
   for (auto& v : inputs) v = 50.0 + rng.uniform(0.0, input_spread);
 
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::adversarial_config(n, seed), [&](NodeId i) {
         return std::make_unique<AbrahamProtocol>(abr_cfg(n, rounds),
                                                  inputs[i]);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  ASSERT_EQ(outcome.honest_outputs.size(), n);
+  ASSERT_TRUE(outcome.ok);
+  ASSERT_EQ(outcome.outputs.size(), n);
 
   const auto [mn, mx] = std::minmax_element(inputs.begin(), inputs.end());
   // Strict convex validity — no relaxation at all (Table I).
-  for (double o : outcome.honest_outputs) {
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, *mn);
     EXPECT_LE(o, *mx);
   }
   // eps-agreement: range shrinks at least 2x per round.
   const double eps = input_spread / std::ldexp(1.0, rounds);
-  EXPECT_LE(test::spread(outcome.honest_outputs), std::max(eps, 1e-12));
+  EXPECT_LE(test::spread(outcome.outputs), std::max(eps, 1e-12));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -73,7 +73,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Abraham, ToleratesCrashFaults) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const std::size_t n = 7;
-    const auto byz = sim::last_t_byzantine(n, max_faults(n));
+    const auto byz = scenario::top_ids(n, max_faults(n));
     std::vector<double> inputs(n);
     Rng rng(seed);
     for (auto& v : inputs) v = rng.uniform(0.0, 20.0);
@@ -131,13 +131,13 @@ TEST(Abraham, ByzantineExtremeValuesGetTrimmed) {
 TEST(Abraham, MoreRoundsTightenAgreement) {
   double prev = 1e9;
   for (std::uint32_t rounds : {1u, 3u, 6u, 9u}) {
-    auto outcome = sim::run_nodes(
+    auto outcome = scenario::SimRuntime().run(
         test::async_config(7, 42), [&](NodeId i) {
           return std::make_unique<AbrahamProtocol>(abr_cfg(7, rounds),
                                                    static_cast<double>(i));
         });
-    ASSERT_TRUE(outcome.all_honest_terminated);
-    const double s = test::spread(outcome.honest_outputs);
+    ASSERT_TRUE(outcome.ok);
+    const double s = test::spread(outcome.outputs);
     EXPECT_LE(s, prev);
     EXPECT_LE(s, 6.0 / std::ldexp(1.0, rounds));  // halving per round
     prev = s;
@@ -190,12 +190,12 @@ TEST(Abraham, CommunicationIsCubicScale) {
   // O(n^3) bits per round: going 4 -> 8 nodes should multiply bytes by ~8
   // (tolerantly bracketed — constants differ).
   auto bytes_for = [](std::size_t n) {
-    auto outcome = sim::run_nodes(
+    auto outcome = scenario::SimRuntime().run(
         test::async_config(n, 12), [&](NodeId i) {
           return std::make_unique<AbrahamProtocol>(abr_cfg(n, 4),
                                                    static_cast<double>(i));
         });
-    EXPECT_TRUE(outcome.all_honest_terminated);
+    EXPECT_TRUE(outcome.ok);
     return outcome.honest_bytes;
   };
   const double ratio = static_cast<double>(bytes_for(8)) /

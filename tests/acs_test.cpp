@@ -8,8 +8,8 @@
 #include <cmath>
 
 #include "acs/acs.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::acs {
@@ -39,22 +39,22 @@ TEST_P(AcsSweep, AgreementAndConvexValidity) {
   Rng rng(seed);
   for (auto& v : inputs) v = 100.0 + rng.uniform(-5.0, 5.0);
 
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::adversarial_config(n, seed),
       [&](NodeId i) {
         return std::make_unique<AcsProtocol>(acs_cfg(n, &coin), inputs[i]);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  ASSERT_EQ(outcome.honest_outputs.size(), n);
+  ASSERT_TRUE(outcome.ok);
+  ASSERT_EQ(outcome.outputs.size(), n);
 
   // Exact agreement (ACS decides one set; the median is a pure function).
-  for (double v : outcome.honest_outputs) {
-    EXPECT_EQ(v, outcome.honest_outputs[0]);
+  for (double v : outcome.outputs) {
+    EXPECT_EQ(v, outcome.outputs[0]);
   }
   // Exact convex validity: output within [min, max] of honest inputs.
   const auto [mn, mx] = std::minmax_element(inputs.begin(), inputs.end());
-  EXPECT_GE(outcome.honest_outputs[0], *mn);
-  EXPECT_LE(outcome.honest_outputs[0], *mx);
+  EXPECT_GE(outcome.outputs[0], *mn);
+  EXPECT_LE(outcome.outputs[0], *mx);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -88,7 +88,7 @@ TEST(Acs, ToleratesCrashFaultsAndExcludesNothingHonest) {
     const std::size_t n = 7;
     const std::size_t t = max_faults(n);
     crypto::CommonCoin coin(seed * 13);
-    const auto byz = sim::last_t_byzantine(n, t);
+    const auto byz = scenario::top_ids(n, t);
     std::vector<double> inputs(n);
     Rng rng(seed);
     for (auto& v : inputs) v = 50.0 + rng.uniform(0.0, 1.0);

@@ -11,8 +11,8 @@
 #include "binaa/protocol.hpp"
 #include "delphi/delphi.hpp"
 #include "dolev/dolev.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::sim {
@@ -97,7 +97,7 @@ TEST_P(AdversarySweep, DelphiSurvivesPartition) {
   Rng rng(seed);
   for (auto& v : inputs) v = 400.0 + rng.uniform(0.0, 20.0);
 
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       partition_config(n, seed, /*minority=*/2), [&](NodeId i) {
         protocol::DelphiProtocol::Config c;
         c.n = n;
@@ -105,13 +105,13 @@ TEST_P(AdversarySweep, DelphiSurvivesPartition) {
         c.params = p;
         return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  ASSERT_TRUE(outcome.ok);
   // Guarantees unchanged; completion necessarily after the heal.
-  EXPECT_GE(outcome.metrics.honest_completion, 2 * kSecond);
+  EXPECT_GE(outcome.runtime_ms, 2 * kSecond / 1000.0);
   const auto [mn, mx] = std::minmax_element(inputs.begin(), inputs.end());
   const double relax = std::max(p.rho0, *mx - *mn);
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
-  for (double o : outcome.honest_outputs) {
+  EXPECT_LE(test::spread(outcome.outputs), p.eps);
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, *mn - relax - 1e-9);
     EXPECT_LE(o, *mx + relax + 1e-9);
   }
@@ -125,15 +125,16 @@ TEST_P(AdversarySweep, DelphiSurvivesBurstReordering) {
   Rng rng(seed + 50);
   for (auto& v : inputs) v = 700.0 + rng.uniform(0.0, 8.0);
 
-  auto outcome = sim::run_nodes(burst_config(n, seed), [&](NodeId i) {
-    protocol::DelphiProtocol::Config c;
-    c.n = n;
-    c.t = max_faults(n);
-    c.params = p;
-    return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
+  auto outcome = scenario::SimRuntime().run(
+      burst_config(n, seed), [&](NodeId i) {
+        protocol::DelphiProtocol::Config c;
+        c.n = n;
+        c.t = max_faults(n);
+        c.params = p;
+        return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
+      });
+  ASSERT_TRUE(outcome.ok);
+  EXPECT_LE(test::spread(outcome.outputs), p.eps);
 }
 
 TEST_P(AdversarySweep, DolevSurvivesPartitionWithFaults) {
@@ -146,21 +147,21 @@ TEST_P(AdversarySweep, DolevSurvivesPartitionWithFaults) {
   std::vector<double> inputs(n);
   Rng rng(seed);
   for (auto& v : inputs) v = rng.uniform(100.0, 110.0);
-  const auto byz = last_t_byzantine(n, cfg.t);
+  const auto byz = scenario::top_ids(n, cfg.t);
 
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       partition_config(n, seed, /*minority=*/3),
       [&](NodeId i) -> std::unique_ptr<net::Protocol> {
         if (byz.contains(i)) return std::make_unique<SilentProtocol>();
         return std::make_unique<dolev::DolevProtocol>(cfg, inputs[i]);
       },
       byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  ASSERT_TRUE(outcome.ok);
   std::vector<double> honest_inputs(inputs.begin(),
                                     inputs.begin() + (n - cfg.t));
   const auto [mn, mx] =
       std::minmax_element(honest_inputs.begin(), honest_inputs.end());
-  for (double o : outcome.honest_outputs) {
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, *mn);
     EXPECT_LE(o, *mx);
   }
@@ -179,13 +180,13 @@ TEST_P(AdversarySweep, AbrahamSurvivesPartition) {
   Rng rng(seed);
   for (auto& v : inputs) v = rng.uniform(-3.0, 3.0);
 
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       partition_config(n, seed, /*minority=*/2), [&](NodeId i) {
         return std::make_unique<abraham::AbrahamProtocol>(cfg, inputs[i]);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  ASSERT_TRUE(outcome.ok);
   const auto [mn, mx] = std::minmax_element(inputs.begin(), inputs.end());
-  for (double o : outcome.honest_outputs) {
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, *mn);
     EXPECT_LE(o, *mx);
   }
@@ -194,16 +195,17 @@ TEST_P(AdversarySweep, AbrahamSurvivesPartition) {
 TEST_P(AdversarySweep, BinAaSurvivesBurstReordering) {
   const std::uint64_t seed = GetParam();
   const std::size_t n = 7;
-  auto outcome = sim::run_nodes(burst_config(n, seed), [&](NodeId i) {
-    binaa::BinAaProtocol::Config c;
-    c.core.n = n;
-    c.core.t = max_faults(n);
-    c.core.r_max = 12;
-    return std::make_unique<binaa::BinAaProtocol>(c, i % 3 == 0);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  EXPECT_LE(test::spread(outcome.honest_outputs), std::ldexp(1.0, -12) + 1e-12);
-  for (double o : outcome.honest_outputs) {
+  auto outcome = scenario::SimRuntime().run(
+      burst_config(n, seed), [&](NodeId i) {
+        binaa::BinAaProtocol::Config c;
+        c.core.n = n;
+        c.core.t = max_faults(n);
+        c.core.r_max = 12;
+        return std::make_unique<binaa::BinAaProtocol>(c, i % 3 == 0);
+      });
+  ASSERT_TRUE(outcome.ok);
+  EXPECT_LE(test::spread(outcome.outputs), std::ldexp(1.0, -12) + 1e-12);
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, 0.0);
     EXPECT_LE(o, 1.0);
   }
@@ -215,26 +217,34 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AdversarySweep,
 // ------------------------------------------------------------- determinism
 
 TEST(AdversaryDeterminism, IdenticalSeedsIdenticalRuns) {
+  // Drives the simulator directly: the check covers the engine's event
+  // count, which RunReport does not carry.
   const std::size_t n = 7;
   const auto p = delphi_params();
   auto run_once = [&](std::uint64_t seed) {
     std::vector<double> inputs(n);
     Rng rng(123);
     for (auto& v : inputs) v = 250.0 + rng.uniform(0.0, 10.0);
-    return sim::run_nodes(partition_config(n, seed, 2), [&](NodeId i) {
+    auto sim = std::make_unique<Simulator>(partition_config(n, seed, 2));
+    for (NodeId i = 0; i < n; ++i) {
       protocol::DelphiProtocol::Config c;
       c.n = n;
       c.t = max_faults(n);
       c.params = p;
-      return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-    });
+      sim->add_node(std::make_unique<protocol::DelphiProtocol>(c, inputs[i]));
+    }
+    sim->run();
+    return sim;
   };
   const auto a = run_once(9);
   const auto b = run_once(9);
-  EXPECT_EQ(a.honest_outputs, b.honest_outputs);
-  EXPECT_EQ(a.honest_bytes, b.honest_bytes);
-  EXPECT_EQ(a.metrics.honest_completion, b.metrics.honest_completion);
-  EXPECT_EQ(a.metrics.events_processed, b.metrics.events_processed);
+  for (NodeId i = 0; i < n; ++i) {
+    EXPECT_EQ(a->node_as<protocol::DelphiProtocol>(i).output_value(),
+              b->node_as<protocol::DelphiProtocol>(i).output_value());
+  }
+  EXPECT_EQ(a->traffic_totals().honest_bytes, b->traffic_totals().honest_bytes);
+  EXPECT_EQ(a->metrics().honest_completion, b->metrics().honest_completion);
+  EXPECT_EQ(a->metrics().events_processed, b->metrics().events_processed);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 #include <algorithm>
 
 #include "benor/benor.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::benor {
@@ -20,10 +20,6 @@ BenOrProtocol::Config benor_cfg(std::size_t n) {
   c.n = n;
   c.t = (n - 1) / 5;
   return c;
-}
-
-std::vector<double> outputs_of(const sim::RunOutcome& out) {
-  return out.honest_outputs;
 }
 
 // ------------------------------------------------------------- construction
@@ -73,11 +69,12 @@ TEST_P(BenOrSweep, UnanimousInputDecidesThatValueFast) {
   const std::uint64_t seed = GetParam();
   for (const bool input : {false, true}) {
     const std::size_t n = 6;
-    auto outcome = sim::run_nodes(test::async_config(n, seed), [&](NodeId) {
-      return std::make_unique<BenOrProtocol>(benor_cfg(n), input);
-    });
-    ASSERT_TRUE(outcome.all_honest_terminated);
-    for (double o : outputs_of(outcome)) {
+    auto outcome = scenario::SimRuntime().run(
+        test::async_config(n, seed), [&](NodeId) {
+          return std::make_unique<BenOrProtocol>(benor_cfg(n), input);
+        });
+    ASSERT_TRUE(outcome.ok);
+    for (double o : outcome.outputs) {
       EXPECT_DOUBLE_EQ(o, input ? 1.0 : 0.0);
     }
   }
@@ -86,12 +83,12 @@ TEST_P(BenOrSweep, UnanimousInputDecidesThatValueFast) {
 TEST_P(BenOrSweep, SplitInputsAgreeOnSomeInputValue) {
   const std::uint64_t seed = GetParam();
   const std::size_t n = 11;
-  auto outcome =
-      sim::run_nodes(test::adversarial_config(n, seed), [&](NodeId i) {
+  auto outcome = scenario::SimRuntime().run(
+      test::adversarial_config(n, seed), [&](NodeId i) {
         return std::make_unique<BenOrProtocol>(benor_cfg(n), i % 2 == 0);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  const auto outs = outputs_of(outcome);
+  ASSERT_TRUE(outcome.ok);
+  const auto outs = outcome.outputs;
   ASSERT_FALSE(outs.empty());
   for (double o : outs) {
     EXPECT_DOUBLE_EQ(o, outs.front());  // agreement
@@ -103,24 +100,24 @@ TEST_P(BenOrSweep, ToleratesSilentFaults) {
   const std::uint64_t seed = GetParam();
   const std::size_t n = 11;
   const auto cfg = benor_cfg(n);
-  const auto byz = sim::last_t_byzantine(n, cfg.t);
-  auto outcome = sim::run_nodes(
+  const auto byz = scenario::top_ids(n, cfg.t);
+  auto outcome = scenario::SimRuntime().run(
       test::adversarial_config(n, seed),
       [&](NodeId i) -> std::unique_ptr<net::Protocol> {
         if (byz.contains(i)) return std::make_unique<sim::SilentProtocol>();
         return std::make_unique<BenOrProtocol>(cfg, true);  // honest unanimous
       },
       byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outputs_of(outcome)) EXPECT_DOUBLE_EQ(o, 1.0);
+  ASSERT_TRUE(outcome.ok);
+  for (double o : outcome.outputs) EXPECT_DOUBLE_EQ(o, 1.0);
 }
 
 TEST_P(BenOrSweep, ToleratesGarbageSprayers) {
   const std::uint64_t seed = GetParam();
   const std::size_t n = 6;
   const auto cfg = benor_cfg(n);
-  const auto byz = sim::last_t_byzantine(n, cfg.t);
-  auto outcome = sim::run_nodes(
+  const auto byz = scenario::top_ids(n, cfg.t);
+  auto outcome = scenario::SimRuntime().run(
       test::async_config(n, seed),
       [&](NodeId i) -> std::unique_ptr<net::Protocol> {
         if (byz.contains(i)) {
@@ -129,8 +126,8 @@ TEST_P(BenOrSweep, ToleratesGarbageSprayers) {
         return std::make_unique<BenOrProtocol>(cfg, false);
       },
       byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outputs_of(outcome)) EXPECT_DOUBLE_EQ(o, 0.0);
+  ASSERT_TRUE(outcome.ok);
+  for (double o : outcome.outputs) EXPECT_DOUBLE_EQ(o, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BenOrSweep,

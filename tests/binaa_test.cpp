@@ -11,8 +11,8 @@
 #include "binaa/delta_codec.hpp"
 #include "binaa/message.hpp"
 #include "binaa/protocol.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::binaa {
@@ -44,27 +44,27 @@ TEST_P(BinAaSweep, TerminationValidityAgreement) {
       default: inputs[i] = (i == 0); break;
     }
   }
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::adversarial_config(n, seed), [&](NodeId i) {
         return std::make_unique<BinAaProtocol>(proto_cfg(n, r_max), inputs[i]);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  ASSERT_EQ(outcome.honest_outputs.size(), n);
+  ASSERT_TRUE(outcome.ok);
+  ASSERT_EQ(outcome.outputs.size(), n);
 
   // eps-agreement with eps = 2^-r_max (exact dyadic arithmetic).
   const double eps = std::ldexp(1.0, -static_cast<int>(r_max));
-  EXPECT_LE(test::spread(outcome.honest_outputs), eps);
+  EXPECT_LE(test::spread(outcome.outputs), eps);
 
   // Binary convex validity.
-  for (double v : outcome.honest_outputs) {
+  for (double v : outcome.outputs) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, 1.0);
   }
   if (pattern == 0) {
-    for (double v : outcome.honest_outputs) EXPECT_EQ(v, 0.0);
+    for (double v : outcome.outputs) EXPECT_EQ(v, 0.0);
   }
   if (pattern == 1) {
-    for (double v : outcome.honest_outputs) EXPECT_EQ(v, 1.0);
+    for (double v : outcome.outputs) EXPECT_EQ(v, 1.0);
   }
 }
 
@@ -87,7 +87,7 @@ TEST(BinAa, ToleratesCrashFaults) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const std::size_t n = 7;
     const std::size_t t = max_faults(n);
-    const auto byz = sim::last_t_byzantine(n, t);
+    const auto byz = scenario::top_ids(n, t);
     sim::Simulator sim(test::adversarial_config(n, seed));
     for (NodeId i = 0; i < n; ++i) {
       if (byz.contains(i)) {
@@ -260,7 +260,7 @@ TEST(BinAa, MultiValueByzantineSprayKeepsAgreementAndValidity) {
   const std::size_t n = 7;
   const std::size_t t = max_faults(n);
   const std::uint32_t r_max = 8;
-  const auto byz = sim::last_t_byzantine(n, t);
+  const auto byz = scenario::top_ids(n, t);
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     for (bool unanimous : {false, true}) {
       SCOPED_TRACE(testing::Message() << "seed " << seed << " unanimous "
@@ -301,13 +301,13 @@ TEST(BinAa, RangeHalvesEachRound) {
   // scale / 2^r. We approximate by running with increasing r_max.
   double prev_spread = 1.1;
   for (std::uint32_t r_max : {1u, 2u, 3u, 4u, 5u, 6u}) {
-    auto outcome = sim::run_nodes(
+    auto outcome = scenario::SimRuntime().run(
         test::async_config(4, 99), [&](NodeId i) {
           return std::make_unique<BinAaProtocol>(proto_cfg(4, r_max),
                                                  i % 2 == 0);
         });
-    ASSERT_TRUE(outcome.all_honest_terminated);
-    const double spread = test::spread(outcome.honest_outputs);
+    ASSERT_TRUE(outcome.ok);
+    const double spread = test::spread(outcome.outputs);
     EXPECT_LE(spread, std::ldexp(1.0, -static_cast<int>(r_max)));
     EXPECT_LE(spread, prev_spread);
     prev_spread = spread;
@@ -315,12 +315,12 @@ TEST(BinAa, RangeHalvesEachRound) {
 }
 
 TEST(BinAa, OutputsAreDyadicWithExpectedGranularity) {
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::async_config(7, 5), [&](NodeId i) {
         return std::make_unique<BinAaProtocol>(proto_cfg(7, 6), i < 3);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double v : outcome.honest_outputs) {
+  ASSERT_TRUE(outcome.ok);
+  for (double v : outcome.outputs) {
     const double scaled = v * 64.0;  // 2^6
     EXPECT_EQ(scaled, std::floor(scaled));  // exact dyadic output
   }

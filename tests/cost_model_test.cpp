@@ -12,7 +12,7 @@
 
 #include "net/message.hpp"
 #include "net/protocol.hpp"
-#include "sim/harness.hpp"
+#include "sim/simulator.hpp"
 
 namespace delphi::sim {
 namespace {

@@ -9,8 +9,8 @@
 #include <cmath>
 
 #include "delphi/delphi.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::protocol {
@@ -68,13 +68,13 @@ TEST_P(DelphiSweep, TerminationAgreementValidity) {
   for (auto& v : inputs) {
     v = center + rng.uniform(-input_spread / 2, input_spread / 2);
   }
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::adversarial_config(n, seed), [&](NodeId i) {
         return std::make_unique<DelphiProtocol>(proto_cfg(n, p), inputs[i]);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  ASSERT_EQ(outcome.honest_outputs.size(), n);
-  expect_guarantees(inputs, outcome.honest_outputs, p,
+  ASSERT_TRUE(outcome.ok);
+  ASSERT_EQ(outcome.outputs.size(), n);
+  expect_guarantees(inputs, outcome.outputs, p,
                     "n=" + std::to_string(n) + " seed=" + std::to_string(seed));
 }
 
@@ -99,27 +99,27 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Delphi, IdenticalInputsStayWithinRho0) {
   const DelphiParams p = small_params();
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::adversarial_config(7, 33), [&](NodeId) {
         return std::make_unique<DelphiProtocol>(proto_cfg(7, p), 250.0);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outcome.honest_outputs) {
+  ASSERT_TRUE(outcome.ok);
+  for (double o : outcome.outputs) {
     EXPECT_NEAR(o, 250.0, p.rho0 + 1e-9);
   }
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
+  EXPECT_LE(test::spread(outcome.outputs), p.eps);
 }
 
 TEST(Delphi, InputOnACheckpointIsReproducedExactly) {
   // All honest on checkpoint 500 (a multiple of every rho_l): the weighted
   // average should come out at exactly 500 (weight 1 at that checkpoint).
   const DelphiParams p = small_params(/*delta_max=*/8.0);
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::async_config(4, 3), [&](NodeId) {
         return std::make_unique<DelphiProtocol>(proto_cfg(4, p), 500.0);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outcome.honest_outputs) EXPECT_NEAR(o, 500.0, p.rho0);
+  ASSERT_TRUE(outcome.ok);
+  for (double o : outcome.outputs) EXPECT_NEAR(o, 500.0, p.rho0);
 }
 
 TEST(Delphi, LevelWeightsSumAtLeastHalf) {
@@ -189,7 +189,7 @@ TEST(Delphi, ToleratesCrashFaults) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const std::size_t n = 7;
     const DelphiParams p = small_params();
-    const auto byz = sim::last_t_byzantine(n, max_faults(n));
+    const auto byz = scenario::top_ids(n, max_faults(n));
     std::vector<double> inputs(n);
     Rng rng(seed + 100);
     for (auto& v : inputs) v = 300.0 + rng.uniform(0.0, 10.0);
@@ -345,13 +345,12 @@ TEST(Delphi, BundleDecodeRejectsOverflowCounts) {
 TEST(Delphi, DeterministicAcrossRuns) {
   const DelphiParams p = small_params();
   auto run_once = [&]() {
-    auto outcome = sim::run_nodes(
+    auto outcome = scenario::SimRuntime().run(
         test::adversarial_config(7, 99), [&](NodeId i) {
           return std::make_unique<DelphiProtocol>(proto_cfg(7, p),
                                                   100.0 + i * 0.75);
         });
-    return std::make_pair(outcome.honest_outputs,
-                          outcome.metrics.total_bytes);
+    return std::make_pair(outcome.outputs, outcome.honest_bytes);
   };
   const auto a = run_once();
   const auto b = run_once();
@@ -369,26 +368,26 @@ TEST(Delphi, WorksWithNegativeInputSpace) {
   DelphiParams p = small_params();
   p.space_min = -1000.0;
   p.space_max = 0.0;
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::async_config(4, 7), [&](NodeId i) {
         return std::make_unique<DelphiProtocol>(proto_cfg(4, p),
                                                 -330.0 - i * 0.5);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  ASSERT_TRUE(outcome.ok);
   std::vector<double> inputs = {-330.0, -330.5, -331.0, -331.5};
-  expect_guarantees(inputs, outcome.honest_outputs, p, "negative-space");
+  expect_guarantees(inputs, outcome.outputs, p, "negative-space");
 }
 
 TEST(Delphi, SingleLevelConfiguration) {
   DelphiParams p = small_params(/*delta_max=*/1.0);  // l_M = 0
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::async_config(4, 8), [&](NodeId i) {
         return std::make_unique<DelphiProtocol>(proto_cfg(4, p),
                                                 500.0 + i * 0.1);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  ASSERT_TRUE(outcome.ok);
   std::vector<double> inputs = {500.0, 500.1, 500.2, 500.3};
-  expect_guarantees(inputs, outcome.honest_outputs, p, "single-level");
+  expect_guarantees(inputs, outcome.outputs, p, "single-level");
 }
 
 }  // namespace

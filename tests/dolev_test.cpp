@@ -9,8 +9,8 @@
 #include <memory>
 
 #include "dolev/dolev.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::dolev {
@@ -95,23 +95,25 @@ TEST(Dolev, MaxFaults5t) {
 
 TEST(Dolev, IdenticalInputsStayPut) {
   const std::size_t n = 6;
-  auto outcome = sim::run_nodes(test::async_config(n, 7), [&](NodeId) {
-    return std::make_unique<DolevProtocol>(dolev_cfg(n, 4), 42.5);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outcome.honest_outputs) EXPECT_DOUBLE_EQ(o, 42.5);
+  auto outcome = scenario::SimRuntime().run(
+      test::async_config(n, 7), [&](NodeId) {
+        return std::make_unique<DolevProtocol>(dolev_cfg(n, 4), 42.5);
+      });
+  ASSERT_TRUE(outcome.ok);
+  for (double o : outcome.outputs) EXPECT_DOUBLE_EQ(o, 42.5);
 }
 
 TEST(Dolev, SingleRoundHalvesRange) {
   const std::size_t n = 11;
   std::vector<double> inputs(n, 0.0);
   inputs[0] = 64.0;  // range 64
-  auto outcome = sim::run_nodes(test::async_config(n, 3), [&](NodeId i) {
-    return std::make_unique<DolevProtocol>(dolev_cfg(n, 1), inputs[i]);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  EXPECT_LE(test::spread(outcome.honest_outputs), 32.0);
-  for (double o : outcome.honest_outputs) {
+  auto outcome = scenario::SimRuntime().run(
+      test::async_config(n, 3), [&](NodeId i) {
+        return std::make_unique<DolevProtocol>(dolev_cfg(n, 1), inputs[i]);
+      });
+  ASSERT_TRUE(outcome.ok);
+  EXPECT_LE(test::spread(outcome.outputs), 32.0);
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, 0.0);
     EXPECT_LE(o, 64.0);
   }
@@ -132,21 +134,21 @@ TEST_P(DolevSweep, AgreementAndStrictConvexValidity) {
   Rng rng(seed);
   for (auto& v : inputs) v = -25.0 + rng.uniform(0.0, input_spread);
 
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::adversarial_config(n, seed), [&](NodeId i) {
         return std::make_unique<DolevProtocol>(dolev_cfg(n, rounds),
                                                inputs[i]);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  ASSERT_EQ(outcome.honest_outputs.size(), n);
+  ASSERT_TRUE(outcome.ok);
+  ASSERT_EQ(outcome.outputs.size(), n);
 
   const auto [mn, mx] = std::minmax_element(inputs.begin(), inputs.end());
-  for (double o : outcome.honest_outputs) {
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, *mn);
     EXPECT_LE(o, *mx);
   }
   const double eps = input_spread / std::ldexp(1.0, rounds);
-  EXPECT_LE(test::spread(outcome.honest_outputs), std::max(eps, 1e-12));
+  EXPECT_LE(test::spread(outcome.outputs), std::max(eps, 1e-12));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -166,26 +168,26 @@ TEST_P(DolevFaults, ToleratesSilentFaults) {
   std::vector<double> inputs(n);
   Rng rng(seed);
   for (auto& v : inputs) v = rng.uniform(10.0, 20.0);
-  const auto byz = sim::last_t_byzantine(n, cfg.t);
+  const auto byz = scenario::top_ids(n, cfg.t);
 
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::adversarial_config(n, seed),
       [&](NodeId i) -> std::unique_ptr<net::Protocol> {
         if (byz.contains(i)) return std::make_unique<sim::SilentProtocol>();
         return std::make_unique<DolevProtocol>(cfg, inputs[i]);
       },
       byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  ASSERT_TRUE(outcome.ok);
 
   std::vector<double> honest_inputs(inputs.begin(),
                                     inputs.begin() + (n - cfg.t));
   const auto [mn, mx] =
       std::minmax_element(honest_inputs.begin(), honest_inputs.end());
-  for (double o : outcome.honest_outputs) {
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, *mn);
     EXPECT_LE(o, *mx);
   }
-  EXPECT_LE(test::spread(outcome.honest_outputs), 10.0 / 256.0 + 1e-9);
+  EXPECT_LE(test::spread(outcome.outputs), 10.0 / 256.0 + 1e-9);
 }
 
 TEST_P(DolevFaults, ToleratesEquivocators) {
@@ -195,35 +197,35 @@ TEST_P(DolevFaults, ToleratesEquivocators) {
   std::vector<double> inputs(n);
   Rng rng(seed);
   for (auto& v : inputs) v = rng.uniform(-5.0, 5.0);
-  const auto byz = sim::last_t_byzantine(n, cfg.t);
+  const auto byz = scenario::top_ids(n, cfg.t);
 
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::adversarial_config(n, seed),
       [&](NodeId i) -> std::unique_ptr<net::Protocol> {
         if (byz.contains(i)) return std::make_unique<DolevEquivocator>();
         return std::make_unique<DolevProtocol>(cfg, inputs[i]);
       },
       byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  ASSERT_TRUE(outcome.ok);
 
   std::vector<double> honest_inputs(inputs.begin(),
                                     inputs.begin() + (n - cfg.t));
   const auto [mn, mx] =
       std::minmax_element(honest_inputs.begin(), honest_inputs.end());
-  for (double o : outcome.honest_outputs) {
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, *mn);
     EXPECT_LE(o, *mx);
   }
-  EXPECT_LE(test::spread(outcome.honest_outputs), 10.0 / 256.0 + 1e-9);
+  EXPECT_LE(test::spread(outcome.outputs), 10.0 / 256.0 + 1e-9);
 }
 
 TEST_P(DolevFaults, ToleratesGarbageSprayers) {
   const std::uint64_t seed = GetParam();
   const std::size_t n = 6;
   const auto cfg = dolev_cfg(n, 6);
-  const auto byz = sim::last_t_byzantine(n, cfg.t);
+  const auto byz = scenario::top_ids(n, cfg.t);
 
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::async_config(n, seed),
       [&](NodeId i) -> std::unique_ptr<net::Protocol> {
         if (byz.contains(i)) {
@@ -232,8 +234,8 @@ TEST_P(DolevFaults, ToleratesGarbageSprayers) {
         return std::make_unique<DolevProtocol>(cfg, 100.0 + i);
       },
       byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outcome.honest_outputs) {
+  ASSERT_TRUE(outcome.ok);
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, 100.0);
     EXPECT_LE(o, 100.0 + n - cfg.t - 1);
   }

@@ -8,8 +8,8 @@
 
 #include "drone/detection.hpp"
 #include "drone/localize.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "stats/fit.hpp"
 #include "stats/summary.hpp"
 #include "tests/test_util.hpp"
@@ -129,7 +129,7 @@ TEST(Localization, ToleratesCrashedDrones) {
   Rng rng(6);
   const Vec2 gt{-30.0, 80.0};
   const auto obs = fleet_observations(model, gt, n, rng);
-  const auto byz = sim::last_t_byzantine(n, max_faults(n));
+  const auto byz = scenario::top_ids(n, max_faults(n));
 
   LocalizationProtocol::Config cfg;
   cfg.n = n;

@@ -11,8 +11,8 @@
 #include "benor/benor.hpp"
 #include "dolev/dolev.hpp"
 #include "multidim/vector_delphi.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "stats/distributions.hpp"
 #include "tests/test_util.hpp"
 
@@ -81,14 +81,14 @@ TEST_P(DolevContraction, RangeHalvesPerRound) {
   cfg.rounds = rounds;
   cfg.space_min = -1e6;
   cfg.space_max = 1e6;
-  auto outcome = sim::run_nodes(test::adversarial_config(n, seed),
+  auto outcome = scenario::SimRuntime().run(test::adversarial_config(n, seed),
                                 [&](NodeId i) {
                                   return std::make_unique<dolev::DolevProtocol>(
                                       cfg, inputs[i]);
                                 });
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  ASSERT_TRUE(outcome.ok);
   // Contraction factor >= 2 per round (Dolev et al. Lemma 3 adapted).
-  EXPECT_LE(test::spread(outcome.honest_outputs),
+  EXPECT_LE(test::spread(outcome.outputs),
             spread0 / std::ldexp(1.0, rounds) + 1e-9)
       << "rounds " << rounds;
 }
@@ -121,7 +121,7 @@ TEST_P(VectorCrash, VectorDelphiSurvivesMidRunCrashes) {
     v[0] = 200.0 + rng.uniform(0.0, 4.0);
     v[1] = 600.0 + rng.uniform(0.0, 4.0);
   }
-  const auto byz = sim::last_t_byzantine(n, t);
+  const auto byz = scenario::top_ids(n, t);
 
   sim::Simulator sim(test::adversarial_config(n, seed));
   for (NodeId i = 0; i < n; ++i) {
@@ -167,13 +167,13 @@ TEST_P(BenOrSchedules, AgreementUnderBurstReordering) {
   benor::BenOrProtocol::Config bc;
   bc.n = n;
   bc.t = (n - 1) / 5;
-  auto outcome = sim::run_nodes(cfg, [&](NodeId i) {
+  auto outcome = scenario::SimRuntime().run(cfg, [&](NodeId i) {
     return std::make_unique<benor::BenOrProtocol>(bc, i < n / 2);
   });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  ASSERT_FALSE(outcome.honest_outputs.empty());
-  for (double o : outcome.honest_outputs) {
-    EXPECT_DOUBLE_EQ(o, outcome.honest_outputs.front());
+  ASSERT_TRUE(outcome.ok);
+  ASSERT_FALSE(outcome.outputs.empty());
+  for (double o : outcome.outputs) {
+    EXPECT_DOUBLE_EQ(o, outcome.outputs.front());
   }
 }
 
@@ -187,12 +187,12 @@ TEST_P(BenOrSchedules, AgreementUnderPartition) {
   benor::BenOrProtocol::Config bc;
   bc.n = n;
   bc.t = (n - 1) / 5;
-  auto outcome = sim::run_nodes(cfg, [&](NodeId i) {
+  auto outcome = scenario::SimRuntime().run(cfg, [&](NodeId i) {
     return std::make_unique<benor::BenOrProtocol>(bc, i % 2 == 0);
   });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  for (double o : outcome.honest_outputs) {
-    EXPECT_DOUBLE_EQ(o, outcome.honest_outputs.front());
+  ASSERT_TRUE(outcome.ok);
+  for (double o : outcome.outputs) {
+    EXPECT_DOUBLE_EQ(o, outcome.outputs.front());
   }
 }
 

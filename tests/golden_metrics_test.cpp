@@ -19,7 +19,7 @@
 #include "acs/acs.hpp"
 #include "crypto/coin.hpp"
 #include "delphi/delphi.hpp"
-#include "sim/harness.hpp"
+#include "scenario/runtime.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::sim {
@@ -44,7 +44,7 @@ struct Golden {
   std::vector<double> outputs;
 };
 
-Observed observe(const SimConfig& cfg, const ProtocolFactory& factory,
+Observed observe(const SimConfig& cfg, const net::ProtocolFactory& factory,
                  const std::set<NodeId>& byzantine = {}) {
   Simulator sim(cfg);
   for (NodeId i = 0; i < cfg.n; ++i) sim.add_node(factory(i));
@@ -122,7 +122,7 @@ Observed run_scenario(const std::string& name) {
         [&](NodeId i) {
           return std::make_unique<abraham::AbrahamProtocol>(c, inputs7()[i]);
         },
-        last_t_byzantine(7, 1));
+        scenario::top_ids(7, 1));
   }
   if (name == "fin_acs_cps_n4") {
     static const crypto::CommonCoin coin(0xDEC0DE);

@@ -10,18 +10,13 @@
 #include "acs/acs.hpp"
 #include "delphi/delphi.hpp"
 #include "oracle/feed.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "stats/summary.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi {
 namespace {
-
-struct ProtocolRun {
-  sim::RunOutcome outcome;
-  std::vector<double> inputs;
-};
 
 std::vector<double> oracle_inputs(std::size_t n, std::uint64_t seed) {
   oracle::PriceFeed feed(oracle::FeedConfig{}, Rng(seed));
@@ -42,49 +37,43 @@ protocol::DelphiParams oracle_params() {
   return p;
 }
 
-ProtocolRun run_delphi(std::size_t n, std::uint64_t seed,
-                       const std::vector<double>& inputs) {
+scenario::RunReport simulate_delphi(std::size_t n, std::uint64_t seed,
+                                    const std::vector<double>& inputs) {
   protocol::DelphiProtocol::Config c;
   c.n = n;
   c.t = max_faults(n);
   c.params = oracle_params();
-  ProtocolRun r;
-  r.inputs = inputs;
-  r.outcome = sim::run_nodes(test::async_config(n, seed), [&](NodeId i) {
-    return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-  });
-  return r;
+  return scenario::SimRuntime().run(
+      test::async_config(n, seed), [&](NodeId i) {
+        return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
+      });
 }
 
-ProtocolRun run_acs(std::size_t n, std::uint64_t seed,
-                    const std::vector<double>& inputs,
-                    const crypto::CommonCoin& coin) {
+scenario::RunReport simulate_acs(std::size_t n, std::uint64_t seed,
+                                 const std::vector<double>& inputs,
+                                 const crypto::CommonCoin& coin) {
   acs::AcsProtocol::Config c;
   c.n = n;
   c.t = max_faults(n);
   c.coin = &coin;
-  ProtocolRun r;
-  r.inputs = inputs;
-  r.outcome = sim::run_nodes(test::async_config(n, seed), [&](NodeId i) {
-    return std::make_unique<acs::AcsProtocol>(c, inputs[i]);
-  });
-  return r;
+  return scenario::SimRuntime().run(
+      test::async_config(n, seed), [&](NodeId i) {
+        return std::make_unique<acs::AcsProtocol>(c, inputs[i]);
+      });
 }
 
-ProtocolRun run_abraham(std::size_t n, std::uint64_t seed,
-                        const std::vector<double>& inputs) {
+scenario::RunReport simulate_abraham(std::size_t n, std::uint64_t seed,
+                                     const std::vector<double>& inputs) {
   abraham::AbrahamProtocol::Config c;
   c.n = n;
   c.t = max_faults(n);
   c.rounds = 10;
   c.space_min = 0.0;
   c.space_max = 200'000.0;
-  ProtocolRun r;
-  r.inputs = inputs;
-  r.outcome = sim::run_nodes(test::async_config(n, seed), [&](NodeId i) {
-    return std::make_unique<abraham::AbrahamProtocol>(c, inputs[i]);
-  });
-  return r;
+  return scenario::SimRuntime().run(
+      test::async_config(n, seed), [&](NodeId i) {
+        return std::make_unique<abraham::AbrahamProtocol>(c, inputs[i]);
+      });
 }
 
 TEST(Integration, AllThreeProtocolsAgreeOnOracleWorkload) {
@@ -93,32 +82,32 @@ TEST(Integration, AllThreeProtocolsAgreeOnOracleWorkload) {
   const auto s = stats::summarize(inputs);
   crypto::CommonCoin coin(123);
 
-  const auto delphi = run_delphi(n, 1, inputs);
-  const auto acs = run_acs(n, 2, inputs, coin);
-  const auto abr = run_abraham(n, 3, inputs);
+  const auto delphi = simulate_delphi(n, 1, inputs);
+  const auto acs = simulate_acs(n, 2, inputs, coin);
+  const auto abr = simulate_abraham(n, 3, inputs);
 
   for (const auto* run : {&delphi, &acs, &abr}) {
-    ASSERT_TRUE(run->outcome.all_honest_terminated);
-    ASSERT_EQ(run->outcome.honest_outputs.size(), n);
+    ASSERT_TRUE(run->ok);
+    ASSERT_EQ(run->outputs.size(), n);
   }
   // Exact protocols stay inside [m, M]; Delphi inside the relaxed interval.
-  for (double v : acs.outcome.honest_outputs) {
+  for (double v : acs.outputs) {
     EXPECT_GE(v, s.min);
     EXPECT_LE(v, s.max);
   }
-  for (double v : abr.outcome.honest_outputs) {
+  for (double v : abr.outputs) {
     EXPECT_GE(v, s.min);
     EXPECT_LE(v, s.max);
   }
   const double relax = std::max(2.0, s.range());
-  for (double v : delphi.outcome.honest_outputs) {
+  for (double v : delphi.outputs) {
     EXPECT_GE(v, s.min - relax - 1e-9);
     EXPECT_LE(v, s.max + relax + 1e-9);
   }
   // All three land near the same market price (sanity of the whole stack).
-  EXPECT_NEAR(delphi.outcome.honest_outputs[0], acs.outcome.honest_outputs[0],
+  EXPECT_NEAR(delphi.outputs[0], acs.outputs[0],
               relax + 2.0);
-  EXPECT_NEAR(abr.outcome.honest_outputs[0], acs.outcome.honest_outputs[0],
+  EXPECT_NEAR(abr.outputs[0], acs.outputs[0],
               s.range() + 1e-9);
 }
 
@@ -131,12 +120,12 @@ TEST(Integration, DelphiBaselineByteGapWidensWithN) {
   double prev_ratio_abr = 0.0;
   for (std::size_t n : {4u, 8u, 16u, 25u}) {
     const auto inputs = oracle_inputs(n, 11);
-    const auto delphi = run_delphi(n, 21, inputs);
-    const auto abr = run_abraham(n, 22, inputs);
-    ASSERT_TRUE(delphi.outcome.all_honest_terminated);
-    ASSERT_TRUE(abr.outcome.all_honest_terminated);
-    const double ratio = static_cast<double>(abr.outcome.honest_bytes) /
-                         static_cast<double>(delphi.outcome.honest_bytes);
+    const auto delphi = simulate_delphi(n, 21, inputs);
+    const auto abr = simulate_abraham(n, 22, inputs);
+    ASSERT_TRUE(delphi.ok);
+    ASSERT_TRUE(abr.ok);
+    const double ratio = static_cast<double>(abr.honest_bytes) /
+                         static_cast<double>(delphi.honest_bytes);
     EXPECT_GT(ratio, prev_ratio_abr);  // the gap widens with n
     prev_ratio_abr = ratio;
   }
@@ -153,22 +142,22 @@ TEST(Integration, AdversarialSchedulingDoesNotBreakAnyProtocol) {
     dc.n = n;
     dc.t = max_faults(n);
     dc.params = oracle_params();
-    auto delphi = sim::run_nodes(cfg, [&](NodeId i) {
+    auto delphi = scenario::SimRuntime().run(cfg, [&](NodeId i) {
       return std::make_unique<protocol::DelphiProtocol>(dc, inputs[i]);
     });
-    EXPECT_TRUE(delphi.all_honest_terminated);
-    EXPECT_LE(test::spread(delphi.honest_outputs), dc.params.eps);
+    EXPECT_TRUE(delphi.ok);
+    EXPECT_LE(test::spread(delphi.outputs), dc.params.eps);
 
     acs::AcsProtocol::Config ac;
     ac.n = n;
     ac.t = max_faults(n);
     ac.coin = &coin;
     ac.session = seed;
-    auto acs_run = sim::run_nodes(cfg, [&](NodeId i) {
+    auto acs_run = scenario::SimRuntime().run(cfg, [&](NodeId i) {
       return std::make_unique<acs::AcsProtocol>(ac, inputs[i]);
     });
-    EXPECT_TRUE(acs_run.all_honest_terminated);
-    EXPECT_EQ(test::spread(acs_run.honest_outputs), 0.0);
+    EXPECT_TRUE(acs_run.ok);
+    EXPECT_EQ(test::spread(acs_run.outputs), 0.0);
   }
 }
 

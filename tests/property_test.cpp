@@ -10,8 +10,8 @@
 
 #include "delphi/delphi.hpp"
 #include "oracle/feed.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "stats/evt.hpp"
 #include "stats/summary.hpp"
 #include "tests/test_util.hpp"
@@ -49,14 +49,14 @@ TEST_P(DistributionDriven, DerivedParametersDeliverGuarantees) {
   cfg.n = n;
   cfg.t = max_faults(n);
   cfg.params = params;
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::adversarial_config(n, c.seed), [&](NodeId i) {
         return std::make_unique<protocol::DelphiProtocol>(cfg, inputs[i]);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated) << c.name;
-  EXPECT_LE(test::spread(outcome.honest_outputs), params.eps) << c.name;
+  ASSERT_TRUE(outcome.ok) << c.name;
+  EXPECT_LE(test::spread(outcome.outputs), params.eps) << c.name;
   const double relax = std::max(params.rho0, s.range());
-  for (double o : outcome.honest_outputs) {
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, s.min - relax - 1e-9) << c.name;
     EXPECT_LE(o, s.max + relax + 1e-9) << c.name;
   }
@@ -103,14 +103,14 @@ TEST_P(SeedSweep, GuaranteesHoldUnderEverySchedule) {
   cfg.n = n;
   cfg.t = max_faults(n);
   cfg.params = p;
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       test::adversarial_config(n, seed, /*extra=*/120'000), [&](NodeId i) {
         return std::make_unique<protocol::DelphiProtocol>(cfg, inputs[i]);
       });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
+  ASSERT_TRUE(outcome.ok);
+  EXPECT_LE(test::spread(outcome.outputs), p.eps);
   const double relax = std::max(p.rho0, s.range());
-  for (double o : outcome.honest_outputs) {
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, s.min - relax - 1e-9);
     EXPECT_LE(o, s.max + relax + 1e-9);
   }

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "rbc/rbc.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::rbc {
@@ -34,11 +34,11 @@ TEST_P(RbcSweep, HonestBroadcasterAllDeliver) {
   const auto [n, seed] = GetParam();
   auto cfg = test::async_config(n, seed);
   const auto value = payload_of(42);
-  auto outcome = sim::run_nodes(cfg, [&](NodeId i) {
+  auto outcome = scenario::SimRuntime().run(cfg, [&](NodeId i) {
     return std::make_unique<RbcProtocol>(rbc_cfg(n, 0),
                                          i == 0 ? value : std::vector<std::uint8_t>{});
   });
-  EXPECT_TRUE(outcome.all_honest_terminated);
+  EXPECT_TRUE(outcome.ok);
 }
 
 TEST_P(RbcSweep, DeliveredValueMatchesBroadcast) {
@@ -58,7 +58,7 @@ TEST_P(RbcSweep, DeliveredValueMatchesBroadcast) {
 TEST_P(RbcSweep, ToleratesTCrashedNodes) {
   const auto [n, seed] = GetParam();
   const std::size_t t = max_faults(n);
-  const auto byz = sim::last_t_byzantine(n, t);
+  const auto byz = scenario::top_ids(n, t);
   sim::Simulator sim(test::adversarial_config(n, seed));
   const auto value = payload_of(9);
   for (NodeId i = 0; i < n; ++i) {

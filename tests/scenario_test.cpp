@@ -14,7 +14,6 @@
 #include "scenario/registry.hpp"
 #include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "transport/decoders.hpp"
 
 namespace delphi::scenario {
@@ -265,26 +264,23 @@ TEST(Runtime, RbcRejectsOutOfRangeBroadcaster) {
 
 // ------------------------------------------------------- report parity
 
-TEST(Runtime, SimReportMatchesLegacyHarness) {
-  // The unified RunReport must agree with the historical sim::RunOutcome
-  // numbers for the same deployment (the bench figures depend on it).
+TEST(Runtime, SpecRunMatchesHandBuiltRun) {
+  // A spec run and a hand-built run of the same deployment are one code
+  // path: the reports agree field for field.
   ScenarioSpec spec = small_spec("delphi");
   const auto rep = SimRuntime().run(spec);
 
   const auto& info = ProtocolRegistry::global().require("delphi");
   ScenarioSpec resolved = spec;
   resolved.t = max_faults(spec.n);
-  auto cfg = testbed_config(spec.testbed, spec.n, spec.seed);
-  const auto outcome = sim::run_nodes(
-      cfg, info.make_factory(resolved, resolved.make_inputs()));
+  const auto factory = info.make_factory(resolved, resolved.make_inputs());
+  EXPECT_EQ(rep, SimRuntime().run(
+                     testbed_config(spec.testbed, spec.n, spec.seed), factory));
+}
 
-  EXPECT_EQ(rep.ok, outcome.all_honest_terminated);
-  EXPECT_EQ(rep.honest_bytes, outcome.honest_bytes);
-  EXPECT_EQ(rep.honest_msgs, outcome.honest_msgs);
-  EXPECT_EQ(rep.outputs, outcome.honest_outputs);
-  EXPECT_DOUBLE_EQ(
-      rep.runtime_ms,
-      static_cast<double>(outcome.metrics.honest_completion) / 1000.0);
+TEST(Runtime, TopIdsPlacement) {
+  EXPECT_EQ(top_ids(10, 3), (std::set<NodeId>{7, 8, 9}));
+  EXPECT_TRUE(top_ids(4, 0).empty());
 }
 
 }  // namespace

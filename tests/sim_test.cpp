@@ -6,8 +6,8 @@
 
 #include "net/message.hpp"
 #include "net/protocol.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "tests/test_util.hpp"
 
 namespace delphi::sim {
@@ -303,20 +303,67 @@ TEST(Byzantine, GarbageSprayDoesNotCrashHonestFlood) {
   EXPECT_GT(sim.node_metrics(0).malformed_dropped, 0u);
 }
 
-TEST(Harness, RunNodesCollectsHonestTraffic) {
+TEST(SimRuntimeRun, CollectsHonestTraffic) {
   SimConfig cfg = flood_config(10, false, 0);
-  auto outcome = run_nodes(cfg, [](NodeId) {
+  const auto rep = scenario::SimRuntime().run(cfg, [](NodeId) {
     return std::make_unique<Flood>(3);
   });
   // Node 0 never terminates (by design), so the run drains to quiescence.
-  EXPECT_FALSE(outcome.all_honest_terminated);
-  EXPECT_EQ(outcome.honest_msgs, 4u * 3u);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.unfinished, (std::vector<NodeId>{0}));
+  EXPECT_EQ(rep.honest_msgs, 4u * 3u);
+  EXPECT_TRUE(rep.outputs.empty());  // Flood is not a ValueOutput
 }
 
-TEST(Harness, LastTByzantinePlacement) {
-  const auto ids = last_t_byzantine(10, 3);
-  EXPECT_EQ(ids, (std::set<NodeId>{7, 8, 9}));
-  EXPECT_TRUE(last_t_byzantine(4, 0).empty());
+/// Broadcasts once and outputs its id after hearing from every node; a
+/// stalled node never terminates and outputs 99.
+class Announce final : public net::Protocol, public net::ValueOutput {
+ public:
+  Announce(NodeId id, std::size_t n, bool stalled)
+      : id_(id), n_(n), stalled_(stalled) {}
+
+  void on_start(net::Context& ctx) override {
+    ctx.broadcast(0, std::make_shared<SeqMessage>(id_));
+  }
+  void on_message(net::Context&, NodeId, std::uint32_t,
+                  const net::MessageBody&) override {
+    ++heard_;
+  }
+  bool terminated() const override { return !stalled_ && heard_ == n_; }
+  std::optional<double> output_value() const override {
+    return stalled_ ? 99.0 : id_;
+  }
+
+ private:
+  NodeId id_;
+  std::size_t n_;
+  bool stalled_;
+  std::size_t heard_ = 0;
+};
+
+TEST(SimRuntimeRun, ByzantineIdsLeaveHonestFields) {
+  SimConfig cfg = flood_config(4, false, 0);
+  const auto byz = scenario::top_ids(cfg.n, 2);
+  const auto factory = [&](NodeId i) {
+    return std::make_unique<Announce>(i, cfg.n, byz.contains(i));
+  };
+
+  const auto rep = scenario::SimRuntime().run(cfg, factory, byz);
+  EXPECT_TRUE(rep.ok);
+  EXPECT_EQ(rep.outputs, (std::vector<double>{0.0, 1.0, 2.0}));
+  EXPECT_TRUE(rep.unfinished.empty());
+  ASSERT_EQ(rep.nodes.size(), cfg.n);
+  EXPECT_GT(rep.nodes[4].bytes_sent, 0u);
+  EXPECT_EQ(rep.honest_bytes, rep.nodes[0].bytes_sent +
+                                  rep.nodes[1].bytes_sent +
+                                  rep.nodes[2].bytes_sent);
+
+  // Without the Byzantine set the stalled nodes count as honest stragglers.
+  const auto all = scenario::SimRuntime().run(cfg, factory);
+  EXPECT_FALSE(all.ok);
+  EXPECT_EQ(all.unfinished, (std::vector<NodeId>{3, 4}));
+  EXPECT_EQ(all.outputs, (std::vector<double>{0.0, 1.0, 2.0, 99.0, 99.0}));
+  EXPECT_GT(all.honest_bytes, rep.honest_bytes);
 }
 
 TEST(Simulator, InFlightOverflowRaisesTypedError) {

@@ -11,8 +11,8 @@
 #include "acs/acs.hpp"
 #include "delphi/delphi.hpp"
 #include "dolev/dolev.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "transport/decoders.hpp"
 #include "transport/tcp.hpp"
 #include "tests/test_util.hpp"
@@ -49,18 +49,18 @@ TEST(Stress, DelphiFortyNodes) {
   cfg.n = n;
   cfg.seed = 61;
   cfg.latency = std::make_shared<sim::UniformLatency>(100, 5'000);
-  auto outcome = sim::run_nodes(cfg, [&](NodeId i) {
+  auto outcome = scenario::SimRuntime().run(cfg, [&](NodeId i) {
     protocol::DelphiProtocol::Config c;
     c.n = n;
     c.t = max_faults(n);
     c.params = p;
     return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
   });
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  ASSERT_TRUE(outcome.ok);
   const auto [mn, mx] = std::minmax_element(inputs.begin(), inputs.end());
   const double relax = std::max(p.rho0, *mx - *mn);
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
-  for (double o : outcome.honest_outputs) {
+  EXPECT_LE(test::spread(outcome.outputs), p.eps);
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, *mn - relax - 1e-9);
     EXPECT_LE(o, *mx + relax + 1e-9);
   }
@@ -71,13 +71,13 @@ TEST(Stress, DelphiFortyNodesWithMaxFaults) {
   const std::size_t t = max_faults(n);  // 13
   const auto p = stress_params();
   const auto inputs = clustered_inputs(n, 62, 300.0, 4.0);
-  const auto byz = sim::last_t_byzantine(n, t);
+  const auto byz = scenario::top_ids(n, t);
 
   sim::SimConfig cfg;
   cfg.n = n;
   cfg.seed = 62;
   cfg.latency = std::make_shared<sim::UniformLatency>(100, 5'000);
-  auto outcome = sim::run_nodes(
+  auto outcome = scenario::SimRuntime().run(
       cfg,
       [&](NodeId i) -> std::unique_ptr<net::Protocol> {
         if (byz.contains(i)) return std::make_unique<sim::SilentProtocol>();
@@ -88,9 +88,9 @@ TEST(Stress, DelphiFortyNodesWithMaxFaults) {
         return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
       },
       byz);
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  EXPECT_EQ(outcome.honest_outputs.size(), n - t);
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
+  ASSERT_TRUE(outcome.ok);
+  EXPECT_EQ(outcome.outputs.size(), n - t);
+  EXPECT_LE(test::spread(outcome.outputs), p.eps);
 }
 
 // ---------------------------------------------------------- boundary inputs
@@ -101,15 +101,15 @@ TEST(Stress, AllInputsAtSpaceEdges) {
     const std::size_t n = 7;
     const auto p = stress_params();
     auto outcome =
-        sim::run_nodes(test::async_config(n, 63), [&](NodeId) {
+        scenario::SimRuntime().run(test::async_config(n, 63), [&](NodeId) {
           protocol::DelphiProtocol::Config c;
           c.n = n;
           c.t = max_faults(n);
           c.params = p;
           return std::make_unique<protocol::DelphiProtocol>(c, edge);
         });
-    ASSERT_TRUE(outcome.all_honest_terminated) << "edge " << edge;
-    for (double o : outcome.honest_outputs) {
+    ASSERT_TRUE(outcome.ok) << "edge " << edge;
+    for (double o : outcome.outputs) {
       EXPECT_NEAR(o, edge, p.rho0 + 1e-9) << "edge " << edge;
     }
   }
@@ -124,16 +124,17 @@ TEST(Stress, TwoClustersAtMaxRange) {
   for (std::size_t i = 0; i < n; ++i) {
     inputs[i] = (i < n / 2) ? 500.0 : 500.0 + p.delta_max;
   }
-  auto outcome = sim::run_nodes(test::adversarial_config(n, 64), [&](NodeId i) {
-    protocol::DelphiProtocol::Config c;
-    c.n = n;
-    c.t = max_faults(n);
-    c.params = p;
-    return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-  });
-  ASSERT_TRUE(outcome.all_honest_terminated);
-  EXPECT_LE(test::spread(outcome.honest_outputs), p.eps);
-  for (double o : outcome.honest_outputs) {
+  auto outcome = scenario::SimRuntime().run(
+      test::adversarial_config(n, 64), [&](NodeId i) {
+        protocol::DelphiProtocol::Config c;
+        c.n = n;
+        c.t = max_faults(n);
+        c.params = p;
+        return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
+      });
+  ASSERT_TRUE(outcome.ok);
+  EXPECT_LE(test::spread(outcome.outputs), p.eps);
+  for (double o : outcome.outputs) {
     EXPECT_GE(o, 500.0 - p.delta_max - 1e-9);
     EXPECT_LE(o, 500.0 + 2 * p.delta_max + 1e-9);
   }
@@ -152,55 +153,58 @@ TEST(Stress, AllProtocolsLandNearTheHonestCluster) {
   const double m = *mn_it, M = *mx_it;
 
   const auto p = stress_params();
-  auto delphi_out = sim::run_nodes(test::async_config(n, 65), [&](NodeId i) {
-    protocol::DelphiProtocol::Config c;
-    c.n = n;
-    c.t = max_faults(n);
-    c.params = p;
-    return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
-  });
+  auto delphi_out = scenario::SimRuntime().run(
+      test::async_config(n, 65), [&](NodeId i) {
+        protocol::DelphiProtocol::Config c;
+        c.n = n;
+        c.t = max_faults(n);
+        c.params = p;
+        return std::make_unique<protocol::DelphiProtocol>(c, inputs[i]);
+      });
   abraham::AbrahamProtocol::Config ac;
   ac.n = n;
   ac.t = max_faults(n);
   ac.rounds = 8;
   ac.space_min = 0.0;
   ac.space_max = 1000.0;
-  auto abraham_out = sim::run_nodes(test::async_config(n, 66), [&](NodeId i) {
-    return std::make_unique<abraham::AbrahamProtocol>(ac, inputs[i]);
-  });
+  auto abraham_out = scenario::SimRuntime().run(
+      test::async_config(n, 66), [&](NodeId i) {
+        return std::make_unique<abraham::AbrahamProtocol>(ac, inputs[i]);
+      });
   dolev::DolevProtocol::Config dc;
   dc.n = n;
   dc.t = dolev::DolevProtocol::max_faults_5t(n);
   dc.rounds = 8;
   dc.space_min = 0.0;
   dc.space_max = 1000.0;
-  auto dolev_out = sim::run_nodes(test::async_config(n, 67), [&](NodeId i) {
-    return std::make_unique<dolev::DolevProtocol>(dc, inputs[i]);
-  });
+  auto dolev_out = scenario::SimRuntime().run(
+      test::async_config(n, 67), [&](NodeId i) {
+        return std::make_unique<dolev::DolevProtocol>(dc, inputs[i]);
+      });
 
-  ASSERT_TRUE(delphi_out.all_honest_terminated);
-  ASSERT_TRUE(abraham_out.all_honest_terminated);
-  ASSERT_TRUE(dolev_out.all_honest_terminated);
+  ASSERT_TRUE(delphi_out.ok);
+  ASSERT_TRUE(abraham_out.ok);
+  ASSERT_TRUE(dolev_out.ok);
 
   const double delta = M - m;
   const double relax = std::max(p.rho0, delta);
-  for (double o : abraham_out.honest_outputs) {
+  for (double o : abraham_out.outputs) {
     EXPECT_GE(o, m);
     EXPECT_LE(o, M);
   }
-  for (double o : dolev_out.honest_outputs) {
+  for (double o : dolev_out.outputs) {
     EXPECT_GE(o, m);
     EXPECT_LE(o, M);
   }
-  for (double o : delphi_out.honest_outputs) {
+  for (double o : delphi_out.outputs) {
     EXPECT_GE(o, m - relax - 1e-9);
     EXPECT_LE(o, M + relax + 1e-9);
   }
   // Pairwise: every pair of protocol outputs within the relaxed hull width.
   const double hull = (M + relax) - (m - relax);
-  for (double a : delphi_out.honest_outputs) {
-    for (double b : abraham_out.honest_outputs) EXPECT_LE(std::abs(a - b), hull);
-    for (double b : dolev_out.honest_outputs) EXPECT_LE(std::abs(a - b), hull);
+  for (double a : delphi_out.outputs) {
+    for (double b : abraham_out.outputs) EXPECT_LE(std::abs(a - b), hull);
+    for (double b : dolev_out.outputs) EXPECT_LE(std::abs(a - b), hull);
   }
 }
 

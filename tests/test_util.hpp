@@ -12,7 +12,7 @@
 #include "net/protocol.hpp"
 #include "rbc/rbc.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
+#include "sim/simulator.hpp"
 
 namespace delphi::test {
 

@@ -12,8 +12,8 @@
 #include "delphi/delphi.hpp"
 #include "dolev/dolev.hpp"
 #include "multidim/vector_delphi.hpp"
+#include "scenario/runtime.hpp"
 #include "sim/byzantine.hpp"
-#include "sim/harness.hpp"
 #include "transport/decoders.hpp"
 #include "transport/tcp.hpp"
 #include "tests/test_util.hpp"
@@ -269,10 +269,10 @@ TEST(TcpCluster, DolevByteAccountingMatchesSimulator) {
 
   sim::SimConfig scfg = test::async_config(n, 5);
   scfg.auth_channels = true;
-  auto outcome = sim::run_nodes(scfg, [&](NodeId i) {
+  auto outcome = scenario::SimRuntime().run(scfg, [&](NodeId i) {
     return std::make_unique<dolev::DolevProtocol>(cfg, inputs[i]);
   });
-  ASSERT_TRUE(outcome.all_honest_terminated);
+  ASSERT_TRUE(outcome.ok);
   EXPECT_EQ(tcp_bytes, outcome.honest_bytes);
 }
 
