@@ -443,8 +443,8 @@ RunReport TcpRuntime::run(const ScenarioSpec& spec) {
   check_netem_support(rs);
 
   // Every adversary= form runs here via the shim's holdback (delay-only:
-  // check_netem_support already rejected the loss knobs); a churn schedule
-  // turns on the recovery lifecycle.
+  // check_netem_support already rejected the loss knobs); churn windows
+  // darken nodes, and the links' replay logs catch them up on rejoin.
   transport::TcpCluster::Options opts;
   fill_cluster_options(rs, opts);
   opts.nodelay = rs.param("nodelay", 1.0) != 0.0;

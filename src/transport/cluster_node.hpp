@@ -43,7 +43,8 @@ struct NodeArgs {
   Clock::time_point epoch;
   std::unique_ptr<net::Protocol> protocol;
   /// Recreates the protocol for a snapshot restore; set iff the cluster
-  /// has a churn schedule.
+  /// has a churn schedule. (That is all a schedule switches on: the links
+  /// run one lifecycle, churn or not.)
   std::function<std::unique_ptr<net::Protocol>()> rebuild;
   Decoder decoder;
   net::WakeupFd& done_wake;

@@ -2,6 +2,7 @@
 
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -20,13 +21,11 @@ namespace delphi::transport {
 
 namespace {
 
-/// First bytes on every link: magic + the initiator's node id, plus (on
-/// authenticated deployments) an HMAC tag under the pairwise key — without
-/// it, a keyless attacker racing the mesh bring-up could claim a legitimate
-/// node id and black-hole that link (frames would fail their MACs, but the
-/// real peer's connection would already have been rejected as a duplicate).
+/// First bytes each side sends on a link: magic + its node id + its receive
+/// count, plus (on authenticated deployments) an HMAC tag under the pairwise
+/// key — without it, a keyless attacker could claim a legitimate node id and
+/// black-hole that link.
 constexpr std::uint32_t kHelloMagic = 0x44504849;  // "IHPD" LE == "DPHI"
-constexpr std::size_t kHelloPrefixSize = 8;
 
 /// Frames gathered per writev(2): the portable IOV_MAX floor (1024 entries
 /// = up to 512 authenticated frames per syscall). The iovec array is pooled
@@ -48,79 +47,31 @@ constexpr std::size_t kStageFrameLimit = 256;
 /// invalidate iovec pointers) cannot happen.
 constexpr std::size_t kStageByteBudget = 256 * 1024;
 
-/// Recovery-mode hellos (clusters with a churn schedule) append a u64 after
-/// the prefix: how many complete frames the sender has received from the
-/// destination on this link across all its incarnations. The other side
-/// replays exactly the suffix of its send log the count says is missing.
-/// Legacy (churn-free) hellos stay byte-identical to the pre-recovery wire
-/// format.
-std::size_t hello_size(bool auth, bool recovery = false) {
-  return kHelloPrefixSize + (recovery ? 8 : 0) +
-         (auth ? crypto::kMacTagSize : 0);
-}
-
 crypto::Digest hello_tag(const crypto::Key& key, NodeId initiator,
-                         const std::uint64_t* recv = nullptr) {
+                         std::uint64_t recv_count) {
   ByteWriter w(24);
   w.u32(kHelloMagic);
   w.u32(initiator);
-  if (recv != nullptr) w.u64(*recv);  // tag covers the receive count
+  w.u64(recv_count);
   w.str("hello");
   return crypto::hmac_sha256(key, w.data());
 }
 
-/// How long a reconnect attempt or a pending steady-state accept may sit
-/// without completing its hello before it is declared half-open and dropped.
+/// How long a dial or a pending accept may sit without completing its hello
+/// before it is declared half-open and dropped.
 constexpr SimTime kDialTimeoutUs = 2'000'000;
 
-/// Per-link replay log byte budget in recovery mode. Drop-oldest beyond it
-/// (graceful degradation: a rejoining peer that out-lived the budget misses
-/// the dropped prefix and relies on protocol-level redundancy).
+/// Per-link replay log byte budget. Acks keep a live link's log near
+/// kAckEvery frames; this bounds it while the peer is dark. Drop-oldest
+/// beyond it (graceful degradation: a rejoining peer that out-lived the
+/// budget misses the dropped prefix and relies on protocol-level
+/// redundancy).
 constexpr std::size_t kReplayBudgetBytes = std::size_t{32} << 20;
 
 void set_nodelay(int fd) {
   const int one = 1;
   // Best-effort: latency tuning, not correctness.
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-/// Blocking connect with retry until `deadline` (peers may not be accepting
-/// yet while the cluster boots).
-int connect_with_retry(std::uint16_t port, Clock::time_point deadline) {
-  while (true) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) sys_fail("socket");
-    sockaddr_in addr = loopback_addr(port);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-      return fd;
-    }
-    ::close(fd);
-    if (Clock::now() >= deadline) {
-      throw Error("tcp: connect deadline exceeded (port " +
-                  std::to_string(port) + ")");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
-
-/// Write all of `data` on a (blocking) fd.
-void write_all(int fd, std::span<const std::uint8_t> data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t k = ::write(fd, data.data() + off, data.size() - off);
-    if (k <= 0) sys_fail("write(hello)");
-    off += static_cast<std::size_t>(k);
-  }
-}
-
-std::vector<std::uint8_t> encode_hello(NodeId self, const crypto::Key* key,
-                                       const std::uint64_t* recv = nullptr) {
-  ByteWriter w(hello_size(key != nullptr, recv != nullptr));
-  w.u32(kHelloMagic);
-  w.u32(self);
-  if (recv != nullptr) w.u64(*recv);
-  if (key != nullptr) w.raw(hello_tag(*key, self, recv));
-  return w.take();
 }
 
 /// Full write on a non-blocking fd with a short bounded poll budget (hellos
@@ -147,6 +98,27 @@ bool write_fully(int fd, std::span<const std::uint8_t> data) {
 
 }  // namespace
 
+std::size_t hello_size(bool auth) {
+  return 16 + (auth ? crypto::kMacTagSize : 0);
+}
+
+std::vector<std::uint8_t> encode_hello(NodeId self, std::uint64_t recv_count,
+                                       const crypto::Key* key) {
+  ByteWriter w(hello_size(key != nullptr));
+  w.u32(kHelloMagic);
+  w.u32(self);
+  w.u64(recv_count);
+  if (key != nullptr) w.raw(hello_tag(*key, self, recv_count));
+  return w.take();
+}
+
+std::uint64_t decode_ack(std::span<const std::uint8_t> payload) {
+  ByteReader r(payload);
+  const std::uint64_t count = r.u64();
+  r.expect_exhausted();
+  return count;
+}
+
 // --------------------------------------------------------------------- Node
 
 class TcpCluster::Node final : public ClusterNode {
@@ -157,8 +129,7 @@ class TcpCluster::Node final : public ClusterNode {
         nodelay_(nodelay),
         // Backoff jitter gets its own deterministic stream so the
         // supervisor never perturbs the protocol's rng() draws.
-        jitter_rng_(opts_.seed ^ (0xc2b2ae3d27d4eb4fULL * (self_ + 2))),
-        recovery_(!opts_.churn.empty()) {
+        jitter_rng_(opts_.seed ^ (0xc2b2ae3d27d4eb4fULL * (self_ + 2))) {
     peers_.resize(opts_.n);
     for (NodeId j = 0; j < opts_.n; ++j) {
       if (j == self_) continue;
@@ -167,7 +138,6 @@ class TcpCluster::Node final : public ClusterNode {
         // One HMAC key schedule per link lifetime: the midstates serve both
         // outgoing tags and the parser's verification.
         p.mac.emplace(keys_.channel_key(self_, j));
-        p.parser = FrameParser(&*p.mac);
       }
       if (opts_.netem.active()) {
         p.shim = net::netem::LinkShim(opts_.netem, self_, j);
@@ -185,6 +155,17 @@ class TcpCluster::Node final : public ClusterNode {
     if (listen_fd_ >= 0) ::close(listen_fd_);
   }
 
+  // The ack channel belongs to the link: a protocol send on it would be
+  // parsed as an ack by the peer, so it is refused where it is made.
+  void send(NodeId to, std::uint32_t channel, net::MessagePtr msg) override {
+    check_channel(channel);
+    ClusterNode::send(to, channel, std::move(msg));
+  }
+  void broadcast(std::uint32_t channel, net::MessagePtr msg) override {
+    check_channel(channel);
+    ClusterNode::broadcast(channel, std::move(msg));
+  }
+
  private:
   /// One queued outbound frame: the shared destination-independent body and
   /// this link's MAC tag (meaningful only on authenticated links).
@@ -200,27 +181,32 @@ class TcpCluster::Node final : public ClusterNode {
     FrameParser parser;
     /// Netem emulation for this directed link (inert unless configured).
     net::netem::LinkShim shim;
-    std::deque<PendingFrame> outq;
-    /// Bytes of outq.front() already on the wire (may point into the tag).
+    /// Every data frame that entered this link's wire order, from sequence
+    /// number log_start on (earlier ones were acked or fell off the byte
+    /// budget). Entries before wpos are on the wire and kept for replay;
+    /// the rest wait for it. A reconnect moves wpos back to replay.
+    std::deque<PendingFrame> log;
+    std::uint64_t log_start = 0;
+    std::size_t log_bytes = 0;
+    std::size_t wpos = 0;
+    /// Bytes of log[wpos] already on the wire (may point into the tag).
     std::size_t front_written = 0;
+    /// The ack frame (body + tag) at the head of the unwritten stream, and
+    /// how many of its bytes are still to write.
+    std::vector<std::uint8_t> ack;
+    std::size_t ack_left = 0;
     /// Last writev hit EAGAIN: wait for POLLOUT instead of re-trying.
     bool blocked = false;
-
-    // ---- recovery mode only (inert without a churn schedule) ----
-    /// Frames ever enqueued on this link (== log_start + log.size()).
-    std::uint64_t sent_count = 0;
-    /// Sequence number of log.front(); earlier frames fell off the budget.
-    std::uint64_t log_start = 0;
-    /// Bounded replay log of sent frames (drop-oldest past the byte
-    /// budget). A rejoining peer's hello says how many frames it received;
-    /// the suffix beyond that is replayed.
-    std::deque<PendingFrame> log;
-    std::size_t log_bytes = 0;
-    /// Complete frames parsed from this peer across all link incarnations
-    /// (the cumulative ack our hellos carry).
+    /// Complete data frames parsed from this peer across all link
+    /// incarnations: the count our acks and hellos carry.
     std::uint64_t recv_count = 0;
-    // Re-dial state machine (this side dials iff self > peer id, mirroring
-    // the bring-up rule).
+    /// kAckEvery more frames arrived since the last ack; the next flush
+    /// to this peer that starts on a frame boundary carries one.
+    bool ack_due = false;
+    /// The link has been adopted before, so the next adoption is a
+    /// reconnect rather than bring-up.
+    bool linked = false;
+    // Dial state machine (this side dials iff self > peer id).
     int dial_fd = -1;
     bool dial_hello_sent = false;
     std::vector<std::uint8_t> dial_buf;  ///< reply-hello bytes so far
@@ -230,7 +216,7 @@ class TcpCluster::Node final : public ClusterNode {
   };
 
   /// An accepted connection whose hello has not fully arrived; dropped at
-  /// `deadline` (half-open / slow-loris defense on the steady-state path).
+  /// `deadline` (half-open / slow-loris defense).
   struct PendingAccept {
     int fd = -1;
     std::vector<std::uint8_t> buf;
@@ -251,77 +237,131 @@ class TcpCluster::Node final : public ClusterNode {
     }
   };
 
+  static void check_channel(std::uint32_t channel) {
+    if (channel == kAckChannel) {
+      throw ConfigError("tcp: channel " + std::to_string(channel) +
+                        " is reserved for the link's ack frames");
+    }
+  }
+
   void enqueue_frame(NodeId to, const SharedFrameBody& body) override {
     Peer& p = peers_[to];
-    // Counted at enqueue (matches the simulator's send-time accounting and
-    // the pre-overhaul data plane), even if the link has died since.
+    const std::size_t wire = frame_wire_size(*body, p.mac.has_value());
+    // Counted at enqueue (matches the simulator's send-time accounting),
+    // even while the link is down: the log replays the frame on reconnect.
     ++metrics_.msgs_sent;
-    metrics_.bytes_sent += frame_wire_size(*body, p.mac.has_value());
-    if (!recovery_ && p.fd < 0) {
-      return;  // link closed for good: bytes would never reach the wire
-    }
+    metrics_.bytes_sent += wire;
     PendingFrame pf;
     pf.body = body;
     if (p.mac.has_value()) pf.tag = frame_tag(*p.mac, *body);
-    if (recovery_) log_frame(p, pf);
-    if (p.fd < 0) return;  // link down: the log replays this on reconnect
     if (p.shim.active()) {
       const SimTime now = now_us();
-      const auto v =
-          p.shim.on_send(now, frame_wire_size(*body, p.mac.has_value()));
+      const auto v = p.shim.on_send(now, wire);
       // Delay-only on TCP (drop verdicts ignored — see Options): a
       // future release parks the frame on the holdback heap; the event loop
-      // moves it to the outq when due.
+      // puts it on the wire when due.
       if (v.release_us > now) {
         held_.push({v.release_us, v.order, to, std::move(pf)});
         return;
       }
     }
-    p.outq.push_back(std::move(pf));
+    to_wire(p, std::move(pf));
+  }
+
+  /// A data frame enters the link's wire order: the log, which is also
+  /// the write queue. Appending here, not at enqueue, keeps the log in the
+  /// order the peer counts frames in, which is the order a reconnect's
+  /// replay prunes by. Past the byte budget the oldest frames go, but while
+  /// the link is up only ones already written.
+  void to_wire(Peer& p, PendingFrame pf) {
+    p.log_bytes += frame_wire_size(*pf.body, p.mac.has_value());
+    p.log.push_back(std::move(pf));
+    while (p.log_bytes > kReplayBudgetBytes && (p.fd < 0 || p.wpos > 0)) {
+      pop_log_front(p);
+    }
+  }
+
+  static void pop_log_front(Peer& p) {
+    p.log_bytes -= frame_wire_size(*p.log.front().body, p.mac.has_value());
+    p.log.pop_front();
+    ++p.log_start;
+    if (p.wpos > 0) --p.wpos;
+  }
+
+  /// Frames or ack bytes are waiting for the wire.
+  static bool pending(const Peer& p) {
+    return p.ack_left > 0 || p.wpos < p.log.size();
   }
 
   /// Move every held frame whose release time has arrived onto its link's
-  /// output queue, in (release, order) order — which realizes the burst
+  /// wire order, in (release, order) order — which realizes the burst
   /// adversary's within-window LIFO on a real stream.
   void release_held(SimTime now) {
     while (!held_.empty() && held_.top().release <= now) {
       HeldFrame h = std::move(const_cast<HeldFrame&>(held_.top()));
       held_.pop();
-      Peer& p = peers_[h.to];
-      if (p.fd >= 0) p.outq.push_back(std::move(h.frame));
+      to_wire(peers_[h.to], std::move(h.frame));
     }
   }
 
-  // ---- recovery plane -----------------------------------------------------
+  // ---- acks and replay ----------------------------------------------------
 
-  /// Append a sent frame to the link's bounded replay log (drop-oldest past
-  /// the byte budget — graceful degradation while the peer is down).
-  void log_frame(Peer& p, const PendingFrame& pf) {
-    const bool auth = p.mac.has_value();
-    ++p.sent_count;
-    p.log.push_back(pf);
-    p.log_bytes += frame_wire_size(*pf.body, auth);
-    while (p.log_bytes > kReplayBudgetBytes && !p.log.empty()) {
-      p.log_bytes -= frame_wire_size(*p.log.front().body, auth);
-      p.log.pop_front();
-      ++p.log_start;
+  /// Tell the peer how many data frames we hold, so it can prune its log.
+  /// Started only on a frame boundary with data waiting for that peer: the
+  /// ack goes out ahead of it in the same writev, so it never costs a
+  /// syscall or a wake-up of its own. It is never counted as a send, logged
+  /// or replayed.
+  void start_ack(Peer& p) {
+    ByteWriter w(8);
+    w.u64(p.recv_count);
+    p.ack = encode_frame(kAckChannel, w.data(),
+                         p.mac.has_value() ? &*p.mac : nullptr);
+    p.ack_left = p.ack.size();
+    p.ack_due = false;
+  }
+
+  /// Frames this link has put on the wire, across all its incarnations:
+  /// no genuine peer can count more.
+  static std::uint64_t sent_count(const Peer& p) {
+    return p.log_start + p.wpos;
+  }
+
+  /// Drop the log prefix a peer's cumulative receive count (from an ack or
+  /// a hello) acknowledges. A stale count, below log_start, prunes nothing.
+  /// A count beyond the frames sent is a lie: false, nothing pruned, and
+  /// the caller closes the link.
+  static bool prune_log(Peer& p, std::uint64_t count) {
+    if (count > sent_count(p)) return false;
+    while (p.log_start < count) pop_log_front(p);
+    return true;
+  }
+
+  /// An ack frame's payload must be exactly one in-range u64.
+  static bool take_ack(Peer& p, std::span<const std::uint8_t> payload) {
+    try {
+      return prune_log(p, decode_ack(payload));
+    } catch (const SerializationError&) {
+      return false;
     }
   }
 
-  /// Validate a recovery hello claiming to come from `expect`; extracts the
-  /// sender's receive count on success.
+  // ---- connection lifecycle -----------------------------------------------
+
+  /// Validate a hello claiming to come from `expect`; extracts the sender's
+  /// receive count on success. A count beyond the frames this link ever
+  /// sent is refused like a bad tag.
   bool check_hello(std::span<const std::uint8_t> buf, NodeId expect,
                    std::uint64_t& recv_out) const {
     ByteReader r(buf);
-    if (r.u32() != kHelloMagic) return false;
-    if (r.u32() != expect) return false;
+    if (r.u32() != kHelloMagic || r.u32() != expect) return false;
     recv_out = r.u64();
+    if (recv_out > sent_count(peers_[expect])) return false;
     if (!opts_.auth) return true;
     crypto::Digest received;
     const auto tag = r.raw(crypto::kMacTagSize);
     std::memcpy(received.data(), tag.data(), received.size());
     return crypto::digest_equal(
-        hello_tag(keys_.channel_key(self_, expect), expect, &recv_out),
+        hello_tag(keys_.channel_key(self_, expect), expect, recv_out),
         received);
   }
 
@@ -331,13 +371,18 @@ class TcpCluster::Node final : public ClusterNode {
     return r.u32();
   }
 
+  std::vector<std::uint8_t> hello_for(NodeId j) const {
+    return encode_hello(self_, peers_[j].recv_count,
+                        opts_.auth ? &keys_.channel_key(self_, j) : nullptr);
+  }
+
   /// Arm the next dial attempt for a lower-id peer: exponential backoff
   /// (2 ms base, doubling per failure, 250 ms cap) plus deterministic
-  /// jitter from the node's seeded jitter stream. Higher-id peers re-dial
-  /// us, so for them this is a no-op. Gives up once the next attempt would
-  /// land past the cluster deadline (capped retries).
+  /// jitter from the node's seeded jitter stream. Higher-id peers dial us,
+  /// so for them this is a no-op. Gives up once the next attempt would land
+  /// past the cluster deadline (capped retries).
   void schedule_redial(NodeId j, Peer& p, bool reset_backoff) {
-    if (j >= self_) return;  // that side initiates (same rule as bring-up)
+    if (j >= self_) return;  // that side initiates
     if (reset_backoff) p.redial_attempts = 0;
     constexpr SimTime kBase = 2'000;
     constexpr SimTime kCap = 250'000;
@@ -354,7 +399,7 @@ class TcpCluster::Node final : public ClusterNode {
   }
 
   /// Connection supervisor pass: abort stalled dial attempts, start due
-  /// re-dials, and drop half-open pending accepts.
+  /// dials, and drop half-open pending accepts.
   void supervisor_tick() {
     const SimTime now = now_us();
     for (NodeId j = 0; j < self_; ++j) {
@@ -379,11 +424,11 @@ class TcpCluster::Node final : public ClusterNode {
     }
   }
 
-  /// Begin one non-blocking reconnect attempt to a lower-id peer.
+  /// Begin one non-blocking dial attempt to a lower-id peer.
   void start_dial(NodeId j, Peer& p) {
     p.redial_at = -1;
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) sys_fail("socket(redial)");
+    if (fd < 0) sys_fail("socket(dial)");
     set_nonblocking(fd);
     sockaddr_in addr = loopback_addr(ports_[j]);
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 &&
@@ -397,11 +442,15 @@ class TcpCluster::Node final : public ClusterNode {
     p.dial_hello_sent = false;
     p.dial_buf.clear();
     p.dial_deadline = now_us() + kDialTimeoutUs;
+    // A loopback connect is usually complete on return: send the hello now
+    // rather than a poll round later, so it is there when the peer accepts.
+    pollfd pf{fd, POLLOUT, 0};
+    if (::poll(&pf, 1, 0) == 1) progress_dial(j, p);
   }
 
-  /// Advance a reconnect attempt: finish the connect, send our hello (with
-  /// our receive count for this link), then read and verify the peer's
-  /// reply before adopting the socket.
+  /// Advance a dial attempt: finish the connect, send our hello (with our
+  /// receive count for this link), then read and verify the peer's reply
+  /// before adopting the socket.
   void progress_dial(NodeId j, Peer& p) {
     if (p.dial_fd < 0) return;
     if (!p.dial_hello_sent) {
@@ -413,17 +462,17 @@ class TcpCluster::Node final : public ClusterNode {
         return;
       }
       if (nodelay_) set_nodelay(p.dial_fd);
-      const crypto::Key* key =
-          opts_.auth ? &keys_.channel_key(self_, j) : nullptr;
-      const std::uint64_t recv = p.recv_count;
-      if (!write_fully(p.dial_fd, encode_hello(self_, key, &recv))) {
+      if (!write_fully(p.dial_fd, hello_for(j))) {
         fail_dial(j, p);
         return;
       }
       p.dial_hello_sent = true;
+      // The write woke the acceptor, and a socket wake-up queues it on this
+      // CPU: yield so it answers now, not after our remaining dials.
+      sched_yield();
       return;
     }
-    const std::size_t want = hello_size(opts_.auth, true);
+    const std::size_t want = hello_size(opts_.auth);
     while (p.dial_buf.size() < want) {
       std::uint8_t tmp[64];
       const ssize_t k = ::read(p.dial_fd, tmp, want - p.dial_buf.size());
@@ -444,7 +493,7 @@ class TcpCluster::Node final : public ClusterNode {
     p.dial_fd = -1;
     p.dial_hello_sent = false;
     p.dial_buf.clear();
-    adopt_link(j, p, fd, peer_recv);
+    adopt_link(p, fd, peer_recv);
   }
 
   void fail_dial(NodeId j, Peer& p) {
@@ -462,9 +511,9 @@ class TcpCluster::Node final : public ClusterNode {
     p.dial_buf.clear();
   }
 
-  /// Steady-state accept path: a known higher-id peer is re-establishing
-  /// its link (it restarted, or we did and it noticed the EOF). Hellos
-  /// complete asynchronously in progress_accepts() under a deadline.
+  /// Accept path: a higher-id peer is establishing its link (bring-up, a
+  /// restart, or we restarted and it noticed the EOF). Hellos complete
+  /// asynchronously in progress_accepts() under a deadline.
   void accept_reconnects() {
     while (true) {
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -476,7 +525,7 @@ class TcpCluster::Node final : public ClusterNode {
   }
 
   void progress_accepts() {
-    const std::size_t want = hello_size(opts_.auth, true);
+    const std::size_t want = hello_size(opts_.auth);
     for (std::size_t a = 0; a < accepts_.size();) {
       PendingAccept& pa = accepts_[a];
       std::uint8_t tmp[64];
@@ -489,21 +538,14 @@ class TcpCluster::Node final : public ClusterNode {
         settled = true;
         const NodeId who = claimed_id(pa.buf);
         std::uint64_t peer_recv = 0;
+        // Reply with our receive count; the dialer replays its undelivered
+        // suffix symmetrically once it has read it.
         if (who > self_ && who < opts_.n &&
-            check_hello(pa.buf, who, peer_recv)) {
-          // Reply with our receive count; the dialer replays its
-          // undelivered suffix symmetrically once it has read it.
-          Peer& p = peers_[who];
-          const crypto::Key* key =
-              opts_.auth ? &keys_.channel_key(self_, who) : nullptr;
-          const std::uint64_t recv = p.recv_count;
-          if (write_fully(pa.fd, encode_hello(self_, key, &recv))) {
-            adopt_link(who, p, pa.fd, peer_recv);
-          } else {
-            ::close(pa.fd);
-          }
+            check_hello(pa.buf, who, peer_recv) &&
+            write_fully(pa.fd, hello_for(who))) {
+          adopt_link(peers_[who], pa.fd, peer_recv);
         } else {
-          ::close(pa.fd);  // stranger, forger, or nonsense: reject
+          ::close(pa.fd);  // stranger, forger, liar or nonsense: reject
         }
       }
       if (dead) ::close(pa.fd);
@@ -516,79 +558,55 @@ class TcpCluster::Node final : public ClusterNode {
     }
   }
 
-  /// Install a freshly handshaken socket as peer j's link and replay the
-  /// log suffix the peer's hello says it is missing. A still-open old fd is
-  /// replaced (reconnect-during-handshake race: the newest handshake wins).
-  void adopt_link(NodeId j, Peer& p, int fd, std::uint64_t peer_recv) {
-    if (p.fd >= 0) ::close(p.fd);
+  /// Install a freshly handshaken socket as a peer's link and queue the log
+  /// suffix the peer's hello says it is missing (check_hello bounded the
+  /// count). A still-open old fd is replaced (reconnect-during-handshake
+  /// race: the newest handshake wins). The first adoption is bring-up; only
+  /// later ones count as reconnects.
+  void adopt_link(Peer& p, int fd, std::uint64_t peer_recv) {
+    drop_fd(p);
     p.fd = fd;
     p.parser = FrameParser(p.mac.has_value() ? &*p.mac : nullptr);
-    p.outq.clear();
-    p.front_written = 0;
-    p.blocked = false;
     p.redial_at = -1;
-    drop_held_for(j);
-    ++metrics_.reconnects;
-    replay_to(p, peer_recv);
+    if (p.linked) {
+      ++metrics_.reconnects;
+    } else {
+      p.linked = true;
+      ++linked_;
+    }
+    prune_log(p, peer_recv);
+    p.wpos = 0;
+    // Catch-up traffic, never new sends — honest-byte parity across
+    // substrates is preserved by construction.
+    metrics_.catchup_frames += p.log.size();
+    metrics_.catchup_bytes += p.log_bytes;
   }
 
-  /// Remove netem-held frames destined to j: they are in the replay log,
-  /// and the fresh handshake replays them — releasing the held copies too
-  /// would deliver duplicates.
-  void drop_held_for(NodeId j) {
-    if (held_.empty()) return;
-    std::vector<HeldFrame> keep;
-    keep.reserve(held_.size());
-    while (!held_.empty()) {
-      HeldFrame h = std::move(const_cast<HeldFrame&>(held_.top()));
-      held_.pop();
-      if (h.to != j) keep.push_back(std::move(h));
+  /// Close a link's socket and abandon its partly written frame or ack (the
+  /// log keeps every data frame for the next incarnation).
+  static void drop_fd(Peer& p) {
+    if (p.fd >= 0) {
+      ::close(p.fd);
+      p.fd = -1;
     }
-    for (auto& h : keep) held_.push(std::move(h));
-  }
-
-  /// Queue the log suffix beyond the peer's cumulative receive count.
-  /// Counted as catch-up traffic, never as new sends — honest-byte parity
-  /// across substrates is preserved by construction.
-  void replay_to(Peer& p, std::uint64_t peer_recv) {
-    const bool auth = p.mac.has_value();
-    while (!p.log.empty() && p.log_start < peer_recv) {
-      // The hello's receive count acknowledges this prefix: prune it.
-      p.log_bytes -= frame_wire_size(*p.log.front().body, auth);
-      p.log.pop_front();
-      ++p.log_start;
-    }
-    for (const PendingFrame& pf : p.log) {
-      ++metrics_.catchup_frames;
-      metrics_.catchup_bytes += frame_wire_size(*pf.body, auth);
-      p.outq.push_back(pf);
-    }
+    p.front_written = 0;
+    p.ack_left = 0;
+    p.blocked = false;
   }
 
   /// Going dark: close every socket (peers observe EOF / refused
-  /// connections) and drop all in-flight link state.
+  /// connections). Frames the netem shim still holds stay held: they enter
+  /// the logs when released after the restart.
   void links_down() override {
-    for (NodeId j = 0; j < opts_.n; ++j) {
-      if (j == self_) continue;
-      Peer& p = peers_[j];
-      if (p.fd >= 0) {
-        ::close(p.fd);
-        p.fd = -1;
-      }
-      p.outq.clear();
-      p.front_written = 0;
-      p.blocked = false;
-      p.parser = FrameParser(p.mac.has_value() ? &*p.mac : nullptr);
+    for (Peer& p : peers_) {
+      drop_fd(p);
       abort_dial(p);
       p.redial_at = -1;
     }
     for (auto& pa : accepts_) ::close(pa.fd);
     accepts_.clear();
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    held_ = {};  // held frames are all in the replay logs already
+    ::close(listen_fd_);
+    listen_fd_ = -1;
   }
 
   /// Restart: rebind the listen port and re-dial every lower id (higher ids
@@ -603,162 +621,36 @@ class TcpCluster::Node final : public ClusterNode {
     }
   }
 
-  /// Establish the full mesh: connect to every lower id, accept from every
-  /// higher id, exchanging an 8-byte hello to bind fds to node ids. Returns
-  /// false if a stop request interrupted it.
+  /// Bring the mesh up through the same dial/accept/hello path a reconnect
+  /// takes: dial every lower id now, accept every higher id, and return
+  /// once every link has been adopted. Returns false if a stop request
+  /// interrupted it; throws at the cluster deadline.
   bool setup_links(const std::atomic<bool>& stop) override {
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(opts_.timeout_ms);
-    for (NodeId j = 0; j < self_; ++j) {
-      const crypto::Key* key =
-          opts_.auth ? &keys_.channel_key(self_, j) : nullptr;
-      while (true) {
-        const int fd = connect_with_retry(ports_[j], deadline);
-        if (!recovery_) {
-          write_all(fd, encode_hello(self_, key));
-          if (nodelay_) set_nodelay(fd);
-          set_nonblocking(fd);
-          peers_[j].fd = fd;
-          break;
-        }
-        // Recovery handshakes are two-way and the peer may churn dark in
-        // the middle of one — a dead socket means "connect again", not a
-        // mesh failure.
-        if (bringup_handshake(j, fd, key, deadline)) break;
-      }
-    }
-
-    // Accept the n - 1 - self higher-id initiators.
     set_nonblocking(listen_fd_);
-    std::size_t expected = opts_.n - 1 - self_;
-    struct PendingHello {
-      int fd;
-      std::vector<std::uint8_t> buf;
-    };
-    std::vector<PendingHello> pending;
-    while (expected > 0 && !stop.load(std::memory_order_relaxed)) {
-      if (Clock::now() >= deadline) throw Error("tcp: mesh setup timeout");
-      std::vector<pollfd> fds;
-      fds.push_back({wake_.fd(), POLLIN, 0});
-      fds.push_back({listen_fd_, POLLIN, 0});
-      for (const auto& ph : pending) fds.push_back({ph.fd, POLLIN, 0});
-      ::poll(fds.data(), fds.size(), 10);
-      if (fds[0].revents != 0) wake_.drain();  // stop re-checked above
-
-      // New connections.
-      while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;
-        if (nodelay_) set_nodelay(fd);
-        set_nonblocking(fd);
-        pending.push_back({fd, {}});
-      }
-      // Progress hellos.
-      const std::size_t want = hello_size(opts_.auth, recovery_);
-      for (std::size_t i = 0; i < pending.size();) {
-        auto& ph = pending[i];
-        std::uint8_t tmp[64];
-        const ssize_t k = ::read(ph.fd, tmp, want - ph.buf.size());
-        if (k > 0) {
-          ph.buf.insert(ph.buf.end(), tmp, tmp + k);
-        }
-        if (ph.buf.size() == want) {
-          ByteReader r(ph.buf);
-          const std::uint32_t magic = r.u32();
-          const NodeId who = r.u32();
-          bool genuine = magic == kHelloMagic && who > self_ &&
-                         who < opts_.n && peers_[who].fd < 0;
-          if (genuine && recovery_) {
-            std::uint64_t peer_recv = 0;
-            genuine = check_hello(ph.buf, who, peer_recv);
-            if (genuine) {
-              // Two-way: reply with our receive count (zero at bring-up);
-              // the dialer reads it before sending any frame.
-              const crypto::Key* key =
-                  opts_.auth ? &keys_.channel_key(self_, who) : nullptr;
-              const std::uint64_t recv = peers_[who].recv_count;
-              genuine = write_fully(ph.fd, encode_hello(self_, key, &recv));
-            }
-          } else if (genuine && opts_.auth) {
-            crypto::Digest received;
-            auto tag = r.raw(crypto::kMacTagSize);
-            std::memcpy(received.data(), tag.data(), received.size());
-            const auto expected_tag =
-                hello_tag(keys_.channel_key(self_, who), who);
-            genuine = crypto::digest_equal(expected_tag, received);
-          }
-          if (genuine) {
-            peers_[who].fd = ph.fd;
-            --expected;
-          } else {
-            ::close(ph.fd);  // stranger, forger, or duplicate: reject
-          }
-          pending[i] = pending.back();
-          pending.pop_back();
-        } else if (k == 0) {  // peer hung up mid-hello
-          ::close(ph.fd);
-          pending[i] = pending.back();
-          pending.pop_back();
-        } else {
-          ++i;
-        }
-      }
+    for (NodeId j = 0; j < self_; ++j) peers_[j].redial_at = 0;
+    mesh_deadline_ = now_us() + opts_.timeout_ms * 1'000;
+    while (linked_ + 1 < opts_.n) {
+      if (stop.load(std::memory_order_relaxed)) return false;
+      if (now_us() >= mesh_deadline_) throw Error("tcp: mesh setup timeout");
+      poll_links();
     }
-    for (const auto& ph : pending) ::close(ph.fd);
-    return expected == 0;
+    mesh_deadline_ = -1;
+    return true;
   }
 
-  /// One bring-up attempt of the two-way recovery hello on a freshly
-  /// connected (still blocking) socket. Returns false with the socket
-  /// closed if the peer died mid-handshake — the caller reconnects; throws
-  /// only on the cluster-wide setup deadline.
-  bool bringup_handshake(NodeId j, int fd, const crypto::Key* key,
-                         Clock::time_point deadline) {
-    const std::uint64_t recv = peers_[j].recv_count;
-    const auto hello = encode_hello(self_, key, &recv);
-    std::size_t woff = 0;
-    while (woff < hello.size()) {
-      const ssize_t k = ::write(fd, hello.data() + woff, hello.size() - woff);
-      if (k <= 0) {
-        ::close(fd);
-        return false;
-      }
-      woff += static_cast<std::size_t>(k);
-    }
-    std::vector<std::uint8_t> buf;
-    const std::size_t want = hello_size(opts_.auth, true);
-    while (buf.size() < want) {
-      if (Clock::now() >= deadline) {
-        ::close(fd);
-        throw Error("tcp: mesh setup timeout (hello reply)");
-      }
-      pollfd pf{fd, POLLIN, 0};
-      ::poll(&pf, 1, 10);
-      if (pf.revents == 0) continue;
-      std::uint8_t tmp[64];
-      const ssize_t k = ::read(fd, tmp, want - buf.size());
-      if (k <= 0) {
-        ::close(fd);
-        return false;
-      }
-      buf.insert(buf.end(), tmp, tmp + k);
-    }
-    std::uint64_t peer_recv = 0;
-    if (!check_hello(buf, j, peer_recv)) {
-      ::close(fd);
-      return false;
-    }
-    if (nodelay_) set_nodelay(fd);
-    set_nonblocking(fd);
-    peers_[j].fd = fd;
-    return true;
+  void poll_once() override {
+    poll_links();
+    note_termination();
   }
 
   /// One event-driven pass: write everything writable, then block in
   /// poll(2) — without a timeout unless a timer is due — until socket
-  /// activity or a wakeup signal. No sleep ticks anywhere.
-  void poll_once() override {
-    if (recovery_) supervisor_tick();
+  /// activity or a wakeup signal. No sleep ticks anywhere. While the mesh
+  /// is still coming up (mesh_deadline_ set), adopted links are not read:
+  /// the protocol has not started, so nothing may be dispatched yet.
+  void poll_links() {
+    const bool meshing = mesh_deadline_ >= 0;
+    supervisor_tick();
     if (!held_.empty()) release_held(now_us());
     flush_pending();
 
@@ -768,9 +660,9 @@ class TcpCluster::Node final : public ClusterNode {
     owners_.push_back({FdKind::kPeer, self_});  // placeholder, aligned
     for (NodeId j = 0; j < opts_.n; ++j) {
       Peer& p = peers_[j];
-      if (p.fd >= 0) {
+      if (p.fd >= 0 && !meshing) {
         short events = POLLIN;
-        if (p.blocked && !p.outq.empty()) events |= POLLOUT;
+        if (p.blocked && pending(p)) events |= POLLOUT;
         pollfds_.push_back({p.fd, events, 0});
         owners_.push_back({FdKind::kPeer, j});
       }
@@ -783,7 +675,7 @@ class TcpCluster::Node final : public ClusterNode {
         owners_.push_back({FdKind::kDial, j});
       }
     }
-    if (recovery_ && listen_fd_ >= 0) {
+    if (listen_fd_ >= 0) {
       pollfds_.push_back({listen_fd_, POLLIN, 0});
       owners_.push_back({FdKind::kListen, 0});
     }
@@ -828,27 +720,25 @@ class TcpCluster::Node final : public ClusterNode {
           break;
       }
     }
-    if (recovery_ && !accepts_.empty()) progress_accepts();
-    note_termination();
+    if (!accepts_.empty()) progress_accepts();
   }
 
-  /// Next forced poll wakeup: netem releases, our own churn transitions,
-  /// due re-dials, dial/accept handshake deadlines. -1 (block forever)
-  /// when none apply — the common, churn-free steady state.
+  /// Next forced poll wakeup: netem releases, the mesh setup deadline, our
+  /// own churn transitions, due dials, dial/accept handshake deadlines. -1
+  /// (block forever) when none apply — the common, churn-free steady state.
   int poll_timeout() const {
     SimTime at = -1;
     const auto consider = [&at](SimTime t) {
       if (t >= 0 && (at < 0 || t < at)) at = t;
     };
     if (!held_.empty()) consider(held_.top().release);
-    if (recovery_) {
-      consider(next_down());
-      for (const Peer& p : peers_) {
-        consider(p.redial_at);
-        if (p.dial_fd >= 0) consider(p.dial_deadline);
-      }
-      for (const auto& pa : accepts_) consider(pa.deadline);
+    consider(mesh_deadline_);
+    consider(next_down());
+    for (const Peer& p : peers_) {
+      consider(p.redial_at);
+      if (p.dial_fd >= 0) consider(p.dial_deadline);
     }
+    for (const auto& pa : accepts_) consider(pa.deadline);
     return poll_ms(at);
   }
 
@@ -857,7 +747,7 @@ class TcpCluster::Node final : public ClusterNode {
   void flush_pending() {
     for (NodeId j = 0; j < opts_.n; ++j) {
       Peer& p = peers_[j];
-      if (p.fd >= 0 && !p.blocked && !p.outq.empty()) flush_peer(j, p);
+      if (p.fd >= 0 && !p.blocked && pending(p)) flush_peer(j, p);
     }
   }
 
@@ -891,10 +781,19 @@ class TcpCluster::Node final : public ClusterNode {
         return;
       }
       if (!f) return;
-      // A fully parsed frame advances the cumulative ack our recovery
-      // hellos carry, decodable payload or not (the sender counts frames
-      // written the same way).
-      if (recovery_) ++p.recv_count;
+      if (f->channel == kAckChannel) {
+        // The link's own frame: not counted, dispatched or acked itself.
+        if (!take_ack(p, f->payload)) {
+          ++metrics_.malformed_dropped;
+          close_link(from, p);
+          return;
+        }
+        continue;
+      }
+      // A fully parsed data frame advances the count our acks and hellos
+      // carry, decodable payload or not (the sender logs frames the same
+      // way).
+      if (++p.recv_count % kAckEvery == 0) p.ack_due = true;
       try {
         ByteReader r(f->payload);
         const net::MessagePtr msg = decoder_(f->channel, r);
@@ -908,18 +807,24 @@ class TcpCluster::Node final : public ClusterNode {
     }
   }
 
-  /// Gather queued frames (shared bodies + per-link tags) into iovecs and
-  /// push them with as few writev(2) calls as the socket accepts.
+  /// Gather the unwritten stream (an ack in progress, then the log from
+  /// wpos: shared bodies + per-link tags) into iovecs and push it with as
+  /// few writev(2) calls as the socket accepts.
   void flush_peer(NodeId j, Peer& p) {
+    if (p.ack_due && p.ack_left == 0 && p.front_written == 0) start_ack(p);
     const std::size_t tag_len =
         p.mac.has_value() ? crypto::kMacTagSize : 0;
-    while (!p.outq.empty()) {
+    while (pending(p)) {
       iov_.clear();
       stage_.clear();
+      if (p.ack_left > 0) {
+        iov_.push_back(
+            {p.ack.data() + (p.ack.size() - p.ack_left), p.ack_left});
+      }
 
       // The (possibly partially written) front frame goes out directly.
-      auto it = p.outq.begin();
-      {
+      auto it = p.log.begin() + static_cast<std::ptrdiff_t>(p.wpos);
+      if (it != p.log.end()) {
         const auto& body = *it->body;
         std::size_t skip = p.front_written;
         if (skip < body.size()) {
@@ -944,7 +849,7 @@ class TcpCluster::Node final : public ClusterNode {
       // Gather the rest: small frames extend the current staged run (one
       // iovec per run), large bodies are referenced zero-copy.
       bool run_open = false;
-      for (auto jt = it; jt != p.outq.end(); ++jt) {
+      for (auto jt = it; jt != p.log.end(); ++jt) {
         if (iov_.size() + 2 > kMaxIovs) break;
         const auto& body = *jt->body;
         const std::size_t total = body.size() + tag_len;
@@ -975,7 +880,7 @@ class TcpCluster::Node final : public ClusterNode {
       const ssize_t k =
           ::writev(p.fd, iov_.data(), static_cast<int>(iov_.size()));
       if (k > 0) {
-        advance_outq(p, static_cast<std::size_t>(k), tag_len);
+        advance_wire(p, static_cast<std::size_t>(k), tag_len);
         continue;
       }
       if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -987,31 +892,25 @@ class TcpCluster::Node final : public ClusterNode {
     }
   }
 
-  /// Retire fully-written frames after a writev of `written` bytes.
-  void advance_outq(Peer& p, std::size_t written, std::size_t tag_len) {
-    p.front_written += written;
-    while (!p.outq.empty()) {
-      const std::size_t frame_total = p.outq.front().body->size() + tag_len;
+  /// Account a writev of `written` bytes: the ack in progress first, then
+  /// every fully written frame moves wpos on.
+  static void advance_wire(Peer& p, std::size_t written, std::size_t tag_len) {
+    const std::size_t on_ack = std::min(written, p.ack_left);
+    p.ack_left -= on_ack;
+    p.front_written += written - on_ack;
+    while (p.wpos < p.log.size()) {
+      const std::size_t frame_total = p.log[p.wpos].body->size() + tag_len;
       if (p.front_written < frame_total) break;
       p.front_written -= frame_total;
-      p.outq.pop_front();
+      ++p.wpos;
     }
   }
 
+  /// A link died (EOF, error, broken stream): the supervisor takes over and,
+  /// when we are the link's initiator, re-dials with backoff.
   void close_link(NodeId j, Peer& p) {
-    if (p.fd >= 0) {
-      ::close(p.fd);
-      p.fd = -1;
-    }
-    p.outq.clear();
-    p.front_written = 0;
-    p.blocked = false;
-    if (recovery_ && !down_) {
-      // Supervisor takes over: fresh parser for the next incarnation and,
-      // when we are the link's initiator, a backoff-paced re-dial.
-      p.parser = FrameParser(p.mac.has_value() ? &*p.mac : nullptr);
-      schedule_redial(j, p, /*reset_backoff=*/true);
-    }
+    drop_fd(p);
+    schedule_redial(j, p, /*reset_backoff=*/true);
   }
 
   /// What a pollfds_ entry (beyond the wakeup fd) refers to.
@@ -1024,8 +923,11 @@ class TcpCluster::Node final : public ClusterNode {
   int listen_fd_;
   const bool nodelay_;
   Rng jitter_rng_;
-  const bool recovery_;
   std::vector<Peer> peers_;
+  /// Links adopted at least once (setup_links returns when all n-1 are).
+  std::size_t linked_ = 0;
+  /// Mesh setup deadline while setup_links runs; -1 once the mesh is up.
+  SimTime mesh_deadline_ = -1;
   std::priority_queue<HeldFrame, std::vector<HeldFrame>, HeldLater> held_;
   /// Pooled scratch reused across the node's lifetime (no per-iteration or
   /// per-read allocations in the steady state).

@@ -10,7 +10,10 @@
 ///   * recovery accounting — a killed TCP node reconnects, catch-up traffic
 ///     lands in catchup_* only, and honest_bytes parity with the simulator
 ///     survives churn (the replay/retransmit plane is invisible to the
-///     logical counters).
+///     logical counters);
+///   * TCP replay under a reordering netem shim — the log is kept in wire
+///     order, so a restarted receiver gets every numbered frame exactly
+///     once.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +26,8 @@
 #include "scenario/runtime.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
+#include "transport/tcp.hpp"
+#include "tests/test_util.hpp"
 
 namespace delphi::scenario {
 namespace {
@@ -184,12 +189,16 @@ TEST(SimChurn, RecoveryMetricsAreFilled) {
   }
 }
 
-TEST(SimChurn, ChurnFreeReportUnchangedByTheChurnPlane) {
+class ChurnFree : public ::testing::TestWithParam<Substrate> {};
+
+TEST_P(ChurnFree, ChurnFreeReportUnchangedByTheChurnPlane) {
   // The churn machinery must be invisible when no windows are configured:
   // same outputs, bytes, and schedule as ever (the golden-metrics suite pins
-  // absolute values; this pins the churn-free/churn boundary directly).
-  ScenarioSpec spec = base_spec("delphi", Substrate::kSim);
-  const RunReport plain = SimRuntime().run(spec);
+  // absolute values; this pins the churn-free/churn boundary directly). On
+  // TCP the mesh comes up through the reconnect path's dial/hello code, and
+  // that bring-up must not count as a reconnect or replay anything.
+  ScenarioSpec spec = base_spec("delphi", GetParam());
+  const RunReport plain = run_scenario(spec);
   ASSERT_TRUE(plain.ok);
   for (const auto& nc : plain.nodes) {
     EXPECT_EQ(nc.reconnects, 0u);
@@ -197,6 +206,17 @@ TEST(SimChurn, ChurnFreeReportUnchangedByTheChurnPlane) {
     EXPECT_EQ(nc.downtime_ms, 0u);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Substrates, ChurnFree,
+                         ::testing::Values(Substrate::kSim, Substrate::kTcp,
+                                           Substrate::kUdp),
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
+                             case Substrate::kTcp: return std::string("Tcp");
+                             case Substrate::kUdp: return std::string("Udp");
+                             default: return std::string("Sim");
+                           }
+                         });
 
 // -------------------------------------------------------- acceptance gate
 
@@ -309,6 +329,42 @@ TEST(UdpChurn, RebindKeepsParityAndCountsRetransmitsAsCatchup) {
   std::uint64_t catchup = 0;
   for (const auto& nc : udp.nodes) catchup += nc.catchup_frames;
   EXPECT_GT(catchup, 0u);
+}
+
+// ------------------------------------------- TCP replay in wire order
+
+TEST(TcpChurn, ReorderedFramesReplayExactlyOnceAfterRestart) {
+  // random-delay releases node 0's frames in an order unrelated to their
+  // send order, and node 1 counts frames in the order they reach the wire.
+  // Node 1 goes dark while frames are still being released; its hello then
+  // says how many it holds, and node 0 must replay exactly the frames past
+  // that count in wire order — a log kept in send order would replay some
+  // numbers twice and never deliver others.
+  constexpr std::uint32_t kFrames = 2000;
+  transport::TcpCluster::Options opts;
+  opts.n = 2;
+  opts.seed = 11;
+  opts.timeout_ms = 10'000;
+  opts.netem.seed = 11;
+  opts.netem.jitter_max_us = 300'000;
+  opts.churn = {{1, 80'000, 160'000}};
+  transport::TcpCluster cluster(opts);
+  cluster.start(
+      [&](NodeId) {
+        return std::make_unique<test::NumberedSends>(kFrames, kFrames);
+      },
+      [](std::uint32_t, ByteReader& r) { return test::SeqMsg::decode(r); });
+  ASSERT_TRUE(cluster.wait()) << "node 1 never received every number";
+  EXPECT_TRUE(cluster.failures().empty());
+  const auto& rx =
+      dynamic_cast<const test::NumberedSends&>(cluster.protocol(1));
+  std::size_t dups = 0;
+  for (const std::uint32_t h : rx.hits()) dups += h > 1 ? h - 1 : 0;
+  EXPECT_EQ(dups, 0u);
+  EXPECT_EQ(cluster.metrics(1).msgs_delivered, kFrames);
+  // The restart really happened and the replay did the catching up.
+  EXPECT_GE(cluster.metrics(0).reconnects, 1u);
+  EXPECT_GT(cluster.metrics(0).catchup_frames, 0u);
 }
 
 }  // namespace

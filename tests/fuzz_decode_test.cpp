@@ -5,6 +5,8 @@
 /// crash, hang, or over-allocate. This is the property that lets honest
 /// nodes treat arbitrary Byzantine bytes safely.
 ///
+/// The TCP ack frame rides the same harness (parse, then decode the u64
+/// count), plus a case for payloads shorter or longer than one u64.
 /// The UDP datagram path rides the same harness (data + ack record codecs
 /// and a packed multi-record datagram under truncation/flips/garbage) plus
 /// its own properties: a tampered or renumbered authenticated record must
@@ -32,6 +34,7 @@
 #include "oracle/dora_baseline.hpp"
 #include "rbc/rbc.hpp"
 #include "transport/frame.hpp"
+#include "transport/tcp.hpp"
 #include "transport/udp.hpp"
 
 namespace delphi {
@@ -183,6 +186,29 @@ std::vector<DecoderCase> all_decoders() {
                      transport::encode_frame(3, payload, &key)});
   }
   {
+    // A TCP ack frame: the parser authenticates it, then its payload must
+    // be exactly one u64 receive count.
+    static const crypto::Key ack_key = [] {
+      crypto::Key k{};
+      k.fill(0x6B);
+      return k;
+    }();
+    ByteWriter count;
+    count.u64(1234);
+    cases.push_back({"tcp_ack",
+                     [](ByteReader& r) {
+                       transport::FrameParser p(&ack_key);
+                       p.feed(r.raw(r.remaining()));
+                       while (const auto f = p.next()) {
+                         if (f->channel == transport::kAckChannel) {
+                           transport::decode_ack(f->payload);
+                         }
+                       }
+                     },
+                     transport::encode_frame(transport::kAckChannel,
+                                             count.data(), &ack_key)});
+  }
+  {
     // UDP data datagram (authenticated): kind | seq | frame | seq-covering
     // tag. A static key keeps the lambda capture-free.
     static const crypto::HmacKey udp_key = [] {
@@ -309,6 +335,26 @@ TEST(FuzzDecode, ValidEncodingsStillDecodeAfterSuite) {
 }
 
 // ------------------------------------------------------ udp datagram path
+
+TEST(TcpAck, ShortOrLongPayloadRejected) {
+  // An authenticated ack frame whose payload is not exactly one u64 parses
+  // (the MAC is good) but does not decode; the link treats it as malformed.
+  crypto::Key k{};
+  k.fill(0x6B);
+  for (const std::size_t len : {0u, 1u, 7u, 9u, 16u}) {
+    SCOPED_TRACE(len);
+    transport::FrameParser p(&k);
+    p.feed(transport::encode_frame(transport::kAckChannel,
+                                   std::vector<std::uint8_t>(len, 0xA5), &k));
+    const auto f = p.next();
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(f->channel, transport::kAckChannel);
+    EXPECT_THROW(transport::decode_ack(f->payload), SerializationError);
+  }
+  ByteWriter w;
+  w.u64(0x0102030405060708ULL);
+  EXPECT_EQ(transport::decode_ack(w.data()), 0x0102030405060708ULL);
+}
 
 TEST(UdpDatagram, RenumberedOrTamperedDatagramFailsAuthentication) {
   // The UDP tag covers the sequence number, so a replayed datagram under a

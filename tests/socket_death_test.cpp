@@ -1,6 +1,6 @@
 /// Abrupt peer death and resource-exhaustion tests for the socket
 /// substrates: clean typed errors or recovery, never hangs.
-///   * Raw-socket attacks on a live recovery-mode TCP cluster — connections
+///   * Raw-socket attacks on a live TCP cluster — connections
 ///     that close mid-hello, reset with SO_LINGER(0), send garbage hellos, or
 ///     stay half-open must all be rejected/pruned while the legitimate mesh
 ///     keeps running to completion;
@@ -133,13 +133,10 @@ void sleep_ms(int ms) {
 // --------------------------------------------------- raw-socket TCP attacks
 
 TEST(AbruptPeerDeath, TcpSurvivesMalformedAndHalfOpenReconnects) {
-  // A recovery-mode cluster whose links are delayed by the netem shim, so
-  // the protocols are still in flight while we attack the listen ports. A
-  // churn schedule is what selects the recovery lifecycle; this window
-  // opens long after the run has finished, so no node ever goes dark.
+  // A cluster whose links are delayed by the netem shim, so the protocols
+  // are still in flight while we attack the listen ports.
   TcpCluster::Options opts;
   opts.n = 2;
-  opts.churn = {{0, 600'000'000, 600'000'001}};
   opts.timeout_ms = 20'000;
   opts.netem.lag_k = 1;
   opts.netem.lag_us = 600'000;
@@ -152,7 +149,7 @@ TEST(AbruptPeerDeath, TcpSurvivesMalformedAndHalfOpenReconnects) {
     const std::uint16_t port = cluster.port(victim);
     // (a) EOF before any hello byte.
     ::close(connect_to(port));
-    // (b) close mid-hello (3 bytes of a 48-byte recovery hello).
+    // (b) close mid-hello (3 bytes of a 48-byte hello).
     int fd = connect_to(port);
     const std::uint8_t partial[3] = {0x01, 0x02, 0x03};
     ASSERT_EQ(::send(fd, partial, sizeof(partial), 0), 3);

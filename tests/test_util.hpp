@@ -1,6 +1,7 @@
 #pragma once
 /// Shared helpers for the test suite: simulation config builders, input
-/// generators, and protocol-specific Byzantine strategies used across files.
+/// generators, protocol-specific Byzantine strategies used across files, and
+/// a numbered-send fixture for exactly-once checks on the socket links.
 
 #include <gtest/gtest.h>
 
@@ -105,6 +106,50 @@ class RbcEquivocator final : public net::Protocol {
  private:
   std::uint32_t channel_;
   std::vector<std::uint8_t> a_, b_;
+};
+
+/// A u32 sequence number: the payload of NumberedSends.
+class SeqMsg final : public net::MessageBody {
+ public:
+  explicit SeqMsg(std::uint32_t seq) : seq_(seq) {}
+  std::size_t wire_size() const override { return 4; }
+  void serialize(ByteWriter& w) const override { w.u32(seq_); }
+  std::string debug() const override { return "seq"; }
+  std::uint32_t seq() const { return seq_; }
+  static net::MessagePtr decode(ByteReader& r) {
+    return std::make_shared<SeqMsg>(r.u32());
+  }
+
+ private:
+  std::uint32_t seq_;
+};
+
+/// Node 0 sends frames numbered 0..total-1 to node 1 at start and is then
+/// done; node 1 counts how often each number arrives and is done once
+/// `want` distinct numbers have.
+class NumberedSends final : public net::Protocol {
+ public:
+  NumberedSends(std::uint32_t total, std::uint32_t want)
+      : hits_(total, 0), want_(want) {}
+  void on_start(net::Context& ctx) override {
+    if (ctx.self() != 0) return;
+    for (std::uint32_t s = 0; s < hits_.size(); ++s) {
+      ctx.send(1, 0, std::make_shared<SeqMsg>(s));
+    }
+    sender_ = true;
+  }
+  void on_message(net::Context&, NodeId, std::uint32_t,
+                  const net::MessageBody& body) override {
+    if (hits_[static_cast<const SeqMsg&>(body).seq()]++ == 0) ++distinct_;
+  }
+  bool terminated() const override { return sender_ || distinct_ == want_; }
+  const std::vector<std::uint32_t>& hits() const { return hits_; }
+
+ private:
+  std::vector<std::uint32_t> hits_;
+  std::uint32_t want_;
+  std::uint32_t distinct_ = 0;
+  bool sender_ = false;
 };
 
 }  // namespace delphi::test
